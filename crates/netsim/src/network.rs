@@ -229,47 +229,62 @@ impl Network {
     /// Intra-site flows (`from == to`) are unconstrained by the network
     /// and always receive their full demand.
     pub fn allocate(&self, flows: &[FlowDemand], t: SimTime) -> Vec<Mbps> {
-        // Resource kinds: pair links, egress caps, ingress caps.
-        #[derive(Hash, PartialEq, Eq, Clone, Copy)]
-        enum Res {
-            Pair(SiteId, SiteId),
-            Egress(SiteId),
-            Ingress(SiteId),
-        }
-
-        let mut capacity: HashMap<Res, f64> = HashMap::new();
-        let mut members: HashMap<Res, Vec<usize>> = HashMap::new();
-        for (i, f) in flows.iter().enumerate() {
-            if f.from == f.to {
-                continue;
+        // Resources (pair links, egress caps, ingress caps) get dense
+        // slots in first-use order. Their members are listed in flow
+        // order, so every `used` sum below adds in one fixed order.
+        const UNUSED: usize = usize::MAX;
+        let m = self.topology.num_sites();
+        let mut pair_slot = vec![UNUSED; m * m];
+        let mut egress_slot = vec![UNUSED; m];
+        let mut ingress_slot = vec![UNUSED; m];
+        let mut capacity: Vec<f64> = Vec::new();
+        fn slot(s: &mut usize, capacity: &mut Vec<f64>, cap: impl FnOnce() -> f64) -> usize {
+            if *s == UNUSED {
+                *s = capacity.len();
+                capacity.push(cap());
             }
-            let pair = Res::Pair(f.from, f.to);
-            capacity
-                .entry(pair)
-                .or_insert_with(|| self.available(f.from, f.to, t).0);
-            members.entry(pair).or_default().push(i);
-            if let Some(cap) = self.egress_cap[f.from.index()] {
-                let r = Res::Egress(f.from);
-                capacity.entry(r).or_insert(cap.0);
-                members.entry(r).or_default().push(i);
-            }
-            if let Some(cap) = self.ingress_cap[f.to.index()] {
-                let r = Res::Ingress(f.to);
-                capacity.entry(r).or_insert(cap.0);
-                members.entry(r).or_default().push(i);
-            }
+            *s
         }
 
         let n = flows.len();
         let mut rate = vec![0.0f64; n];
         let mut frozen = vec![false; n];
-        // Intra-site flows are satisfied immediately.
+        // (resource, flow) memberships in flow order.
+        let mut uses: Vec<(usize, usize)> = Vec::with_capacity(3 * n);
         for (i, f) in flows.iter().enumerate() {
             if f.from == f.to {
+                // Intra-site flows are satisfied immediately.
                 rate[i] = f.demand.0.max(0.0);
                 frozen[i] = true;
+                continue;
+            }
+            let (a, b) = (f.from.index(), f.to.index());
+            let pair = slot(&mut pair_slot[a * m + b], &mut capacity, || {
+                self.available(f.from, f.to, t).0
+            });
+            uses.push((pair, i));
+            if let Some(cap) = self.egress_cap[a] {
+                uses.push((slot(&mut egress_slot[a], &mut capacity, || cap.0), i));
+            }
+            if let Some(cap) = self.ingress_cap[b] {
+                uses.push((slot(&mut ingress_slot[b], &mut capacity, || cap.0), i));
             }
         }
+        // Members of resource r are `members[start[r]..start[r + 1]]`.
+        let mut start = vec![0usize; capacity.len() + 1];
+        for &(r, _) in &uses {
+            start[r + 1] += 1;
+        }
+        for r in 0..capacity.len() {
+            start[r + 1] += start[r];
+        }
+        let mut members = vec![0usize; uses.len()];
+        let mut fill = start.clone();
+        for &(r, i) in &uses {
+            members[fill[r]] = i;
+            fill[r] += 1;
+        }
+        let members_of = |r: usize| &members[start[r]..start[r + 1]];
 
         // Progressive filling: raise all unfrozen flows' rates in
         // lock-step until a flow hits its demand or a resource
@@ -281,11 +296,11 @@ impl Network {
             }
             // Max uniform increment allowed by each resource.
             let mut inc = f64::INFINITY;
-            for (res, cap) in &capacity {
-                let mem = &members[res];
-                let used: f64 = mem.iter().map(|&i| rate[i]).sum();
+            for (r, cap) in capacity.iter().enumerate() {
+                let mem = members_of(r);
                 let k = mem.iter().filter(|&&i| !frozen[i]).count();
                 if k > 0 {
+                    let used: f64 = mem.iter().map(|&i| rate[i]).sum();
                     let headroom = (cap - used).max(0.0);
                     inc = inc.min(headroom / k as f64);
                 }
@@ -314,9 +329,13 @@ impl Network {
                     any_frozen = true;
                 }
             }
-            // Freeze flows on saturated resources.
-            for (res, cap) in &capacity {
-                let mem = &members[res];
+            // Freeze flows on saturated resources (a resource whose
+            // members are all frozen has nothing left to freeze).
+            for (r, cap) in capacity.iter().enumerate() {
+                let mem = members_of(r);
+                if mem.iter().all(|&i| frozen[i]) {
+                    continue;
+                }
                 let used: f64 = mem.iter().map(|&i| rate[i]).sum();
                 if used + 1e-9 >= *cap {
                     for &i in mem {

@@ -135,3 +135,216 @@ proptest! {
         prop_assert!(a >= s.min - 1e-9 && b <= s.max + 1e-9);
     }
 }
+
+// ---------------------------------------------------------------------
+// `Network::allocate` against the HashMap-keyed reference it replaced.
+// ---------------------------------------------------------------------
+
+mod allocate_oracle {
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
+    use wasp_netsim::network::{FlowDemand, Network};
+    use wasp_netsim::site::{SiteId, SiteKind};
+    use wasp_netsim::topology::TopologyBuilder;
+    use wasp_netsim::trace::FactorSeries;
+    use wasp_netsim::units::{Mbps, Millis, SimTime};
+
+    /// The reference max-min allocation: resources keyed in hash maps,
+    /// member lists in flow order. `egress`/`ingress` are the caps the
+    /// network was given.
+    fn reference(
+        net: &Network,
+        egress: &[Option<f64>],
+        ingress: &[Option<f64>],
+        flows: &[FlowDemand],
+        t: SimTime,
+    ) -> Vec<f64> {
+        #[derive(Hash, PartialEq, Eq, Clone, Copy)]
+        enum Res {
+            Pair(SiteId, SiteId),
+            Egress(SiteId),
+            Ingress(SiteId),
+        }
+        let mut capacity: HashMap<Res, f64> = HashMap::new();
+        let mut members: HashMap<Res, Vec<usize>> = HashMap::new();
+        for (i, f) in flows.iter().enumerate() {
+            if f.from == f.to {
+                continue;
+            }
+            let pair = Res::Pair(f.from, f.to);
+            capacity
+                .entry(pair)
+                .or_insert_with(|| net.available(f.from, f.to, t).0);
+            members.entry(pair).or_default().push(i);
+            if let Some(cap) = egress[f.from.index()] {
+                let r = Res::Egress(f.from);
+                capacity.entry(r).or_insert(cap);
+                members.entry(r).or_default().push(i);
+            }
+            if let Some(cap) = ingress[f.to.index()] {
+                let r = Res::Ingress(f.to);
+                capacity.entry(r).or_insert(cap);
+                members.entry(r).or_default().push(i);
+            }
+        }
+        let n = flows.len();
+        let mut rate = vec![0.0f64; n];
+        let mut frozen = vec![false; n];
+        for (i, f) in flows.iter().enumerate() {
+            if f.from == f.to {
+                rate[i] = f.demand.0.max(0.0);
+                frozen[i] = true;
+            }
+        }
+        loop {
+            let active: Vec<usize> = (0..n).filter(|&i| !frozen[i]).collect();
+            if active.is_empty() {
+                break;
+            }
+            let mut inc = f64::INFINITY;
+            for (res, cap) in &capacity {
+                let mem = &members[res];
+                let used: f64 = mem.iter().map(|&i| rate[i]).sum();
+                let k = mem.iter().filter(|&&i| !frozen[i]).count();
+                if k > 0 {
+                    let headroom = (cap - used).max(0.0);
+                    inc = inc.min(headroom / k as f64);
+                }
+            }
+            for &i in &active {
+                inc = inc.min((flows[i].demand.0.max(0.0) - rate[i]).max(0.0));
+            }
+            if !inc.is_finite() {
+                for &i in &active {
+                    rate[i] = flows[i].demand.0.max(0.0);
+                    frozen[i] = true;
+                }
+                break;
+            }
+            for &i in &active {
+                rate[i] += inc;
+            }
+            let mut any_frozen = false;
+            for &i in &active {
+                if rate[i] + 1e-12 >= flows[i].demand.0.max(0.0) {
+                    frozen[i] = true;
+                    any_frozen = true;
+                }
+            }
+            for (res, cap) in &capacity {
+                let mem = &members[res];
+                let used: f64 = mem.iter().map(|&i| rate[i]).sum();
+                if used + 1e-9 >= *cap {
+                    for &i in mem {
+                        if !frozen[i] {
+                            frozen[i] = true;
+                            any_frozen = true;
+                        }
+                    }
+                }
+            }
+            if !any_frozen {
+                for &i in &active {
+                    frozen[i] = true;
+                }
+            }
+        }
+        rate
+    }
+
+    /// SplitMix64 stream describing one random network and flow set.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random networks with per-pair capacities (some zero),
+        /// egress/ingress caps, pair and global factors, scripted and
+        /// transient cross traffic, and flow sets mixing inter- and
+        /// intra-site flows: every rate equals the reference bit for
+        /// bit.
+        #[test]
+        fn allocate_matches_reference_bitwise(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let m = 2 + g.below(6);
+            let mut b = TopologyBuilder::new();
+            let sites: Vec<SiteId> = (0..m)
+                .map(|i| b.add_site(format!("s{i}"), SiteKind::DataCenter, 4))
+                .collect();
+            for &from in &sites {
+                for &to in &sites {
+                    // No link at all leaves the pair at zero capacity.
+                    if from != to && g.unit() < 0.85 {
+                        let cap = if g.unit() < 0.1 { 0.0 } else { 1.0 + 99.0 * g.unit() };
+                        b.set_link(from, to, Mbps(cap), Millis(10.0));
+                    }
+                }
+            }
+            let mut net = Network::new(b.build().expect("valid topology"));
+            let mut egress = vec![None; m];
+            let mut ingress = vec![None; m];
+            for (i, &s) in sites.iter().enumerate() {
+                if g.unit() < 0.3 {
+                    let cap = 5.0 + 150.0 * g.unit();
+                    net.set_egress_cap(s, Mbps(cap));
+                    egress[i] = Some(cap);
+                }
+                if g.unit() < 0.3 {
+                    let cap = 5.0 + 150.0 * g.unit();
+                    net.set_ingress_cap(s, Mbps(cap));
+                    ingress[i] = Some(cap);
+                }
+            }
+            let t = SimTime(100.0 * g.unit());
+            let mut transient = BTreeMap::new();
+            for _ in 0..g.below(4) {
+                let (from, to) = (sites[g.below(m)], sites[g.below(m)]);
+                match g.below(3) {
+                    0 => net.set_pair_factor(
+                        from,
+                        to,
+                        FactorSeries::steps(1.0, &[(50.0, 0.2 + g.unit())]),
+                    ),
+                    1 => net.add_cross_traffic(from, to, FactorSeries::constant(40.0 * g.unit())),
+                    _ => {
+                        transient.insert((from, to), 30.0 * g.unit());
+                    }
+                }
+            }
+            net.set_transient_cross_traffic(transient);
+            if g.unit() < 0.3 {
+                net.set_global_factor(FactorSeries::constant(0.3 + g.unit()));
+            }
+            let flows: Vec<FlowDemand> = (0..1 + g.below(40))
+                .map(|_| {
+                    let demand = if g.unit() < 0.05 { 0.0 } else { 60.0 * g.unit() };
+                    FlowDemand::new(sites[g.below(m)], sites[g.below(m)], Mbps(demand))
+                })
+                .collect();
+            let got: Vec<u64> = net.allocate(&flows, t).iter().map(|r| r.0.to_bits()).collect();
+            let want: Vec<u64> = reference(&net, &egress, &ingress, &flows, t)
+                .iter()
+                .map(|r| r.to_bits())
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+}

@@ -51,6 +51,13 @@ impl Cohort {
 
 /// FIFO queue of cohorts with fluid take/put operations.
 ///
+/// While every ledger it holds is unstamped (all six components and
+/// both pause marks `+0.0`), the queue stores only `(birth, count,
+/// net_latency, attributed_until)` per cohort; the first stamped push
+/// converts it to full [`Cohort`]s. The encoding is lossless
+/// (`DelayLedger::new(attributed_until)` rebuilds an unstamped ledger
+/// bit for bit), so the representation never shows in results.
+///
 /// # Examples
 ///
 /// ```
@@ -68,8 +75,179 @@ impl Cohort {
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CohortQueue {
-    cohorts: VecDeque<Cohort>,
+    #[serde(with = "cohorts_serde")]
+    cohorts: Cohorts,
     total: f64,
+}
+
+/// Storage of a [`CohortQueue`]: lean until a stamped ledger arrives.
+#[derive(Debug, Clone)]
+enum Cohorts {
+    Lean(VecDeque<LeanCohort>),
+    Full(VecDeque<Cohort>),
+}
+
+impl Default for Cohorts {
+    fn default() -> Cohorts {
+        Cohorts::Lean(VecDeque::new())
+    }
+}
+
+/// A cohort whose ledger is `DelayLedger::new(attributed_until)`.
+#[derive(Debug, Clone, Copy)]
+struct LeanCohort {
+    birth: SimTime,
+    count: f64,
+    net_latency: f64,
+    attributed_until: f64,
+}
+
+impl LeanCohort {
+    /// The lean form of `c`, if its ledger is unstamped and its count
+    /// finite (a non-finite merge weight turns `0.0 * w` into NaN, so
+    /// only finite counts keep merged ledgers unstamped).
+    fn of(c: &Cohort) -> Option<LeanCohort> {
+        let l = &c.xray;
+        let unstamped = [
+            l.queue,
+            l.service,
+            l.transit,
+            l.backpressure,
+            l.migration,
+            l.control,
+            l.mark_pause,
+            l.mark_fail,
+        ]
+        .iter()
+        .all(|v| v.to_bits() == 0);
+        (unstamped && c.count.is_finite()).then_some(LeanCohort {
+            birth: c.birth,
+            count: c.count,
+            net_latency: c.net_latency,
+            attributed_until: l.attributed_until,
+        })
+    }
+}
+
+/// The per-cohort operations the queue algorithms need, shared by the
+/// lean and the full encoding.
+trait Slot: Copy {
+    fn birth(&self) -> SimTime;
+    fn count(&self) -> f64;
+    fn count_mut(&mut self) -> &mut f64;
+    fn net_latency(&self) -> f64;
+    fn set_birth_latency(&mut self, birth: SimTime, net_latency: f64);
+    fn cohort(&self) -> Cohort;
+    /// [`DelayLedger::merge_weighted`] of the two slots' ledgers.
+    fn merge_ledger(&mut self, w_self: f64, other: &Self, w_other: f64);
+}
+
+impl Slot for Cohort {
+    fn birth(&self) -> SimTime {
+        self.birth
+    }
+    fn count(&self) -> f64 {
+        self.count
+    }
+    fn count_mut(&mut self) -> &mut f64 {
+        &mut self.count
+    }
+    fn net_latency(&self) -> f64 {
+        self.net_latency
+    }
+    fn set_birth_latency(&mut self, birth: SimTime, net_latency: f64) {
+        self.birth = birth;
+        self.net_latency = net_latency;
+    }
+    fn cohort(&self) -> Cohort {
+        *self
+    }
+    fn merge_ledger(&mut self, w_self: f64, other: &Cohort, w_other: f64) {
+        self.xray.merge_weighted(w_self, &other.xray, w_other);
+    }
+}
+
+impl Slot for LeanCohort {
+    fn birth(&self) -> SimTime {
+        self.birth
+    }
+    fn count(&self) -> f64 {
+        self.count
+    }
+    fn count_mut(&mut self) -> &mut f64 {
+        &mut self.count
+    }
+    fn net_latency(&self) -> f64 {
+        self.net_latency
+    }
+    fn set_birth_latency(&mut self, birth: SimTime, net_latency: f64) {
+        self.birth = birth;
+        self.net_latency = net_latency;
+    }
+    fn cohort(&self) -> Cohort {
+        Cohort {
+            birth: self.birth,
+            count: self.count,
+            net_latency: self.net_latency,
+            xray: DelayLedger::new(self.attributed_until),
+        }
+    }
+    /// Exact only for finite positive weights, where every zero field
+    /// mixes to `(0·w₁ + 0·w₂) / (w₁ + w₂) = +0.0`; the queue checks
+    /// the weights are finite before merging lean slots.
+    fn merge_ledger(&mut self, w_self: f64, other: &LeanCohort, w_other: f64) {
+        let total = w_self + w_other;
+        if total > 0.0 {
+            self.attributed_until =
+                (self.attributed_until * w_self + other.attributed_until * w_other) / total;
+        }
+    }
+}
+
+/// Serde adapter writing either encoding as the FIFO list of full
+/// cohorts.
+mod cohorts_serde {
+    use super::{Cohort, Cohorts, LeanCohort};
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    pub fn serialize<S: Serializer>(q: &Cohorts, s: S) -> Result<S::Ok, S::Error> {
+        q.to_vec().serialize(s)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Cohorts, D::Error> {
+        let cohorts: Vec<Cohort> = Vec::deserialize(d)?;
+        Ok(match cohorts.iter().map(LeanCohort::of).collect() {
+            Some(lean) => Cohorts::Lean(lean),
+            None => Cohorts::Full(cohorts.into()),
+        })
+    }
+}
+
+impl Cohorts {
+    fn len(&self) -> usize {
+        match self {
+            Cohorts::Lean(q) => q.len(),
+            Cohorts::Full(q) => q.len(),
+        }
+    }
+
+    fn to_vec(&self) -> Vec<Cohort> {
+        match self {
+            Cohorts::Lean(q) => q.iter().map(Slot::cohort).collect(),
+            Cohorts::Full(q) => q.iter().copied().collect(),
+        }
+    }
+
+    /// Converts lean storage to full cohorts (no-op when already full).
+    fn make_full(&mut self) -> &mut VecDeque<Cohort> {
+        if let Cohorts::Lean(q) = self {
+            *self = Cohorts::Full(q.iter().map(Slot::cohort).collect());
+        }
+        match self {
+            Cohorts::Full(q) => q,
+            Cohorts::Lean(_) => unreachable!("converted above"),
+        }
+    }
 }
 
 /// Merging tolerance: cohorts whose births are this close (seconds)
@@ -102,7 +280,10 @@ impl CohortQueue {
 
     /// Birth time of the oldest queued cohort.
     pub fn oldest_birth(&self) -> Option<SimTime> {
-        self.cohorts.front().map(|c| c.birth)
+        match &self.cohorts {
+            Cohorts::Lean(q) => q.front().map(Slot::birth),
+            Cohorts::Full(q) => q.front().map(Slot::birth),
+        }
     }
 
     /// Appends a cohort (merging with the tail when compatible).
@@ -111,21 +292,18 @@ impl CohortQueue {
             return;
         }
         self.total += c.count;
-        if let Some(back) = self.cohorts.back_mut() {
-            if (back.birth.secs() - c.birth.secs()).abs() < MERGE_EPS
-                && (back.net_latency - c.net_latency).abs() < MERGE_EPS
-            {
-                // Count-weighted ledger mean keeps attribution
-                // conserved; with xray off both ledgers are identical
-                // birth-fresh values and the mean is a no-op.
-                let (wa, wb) = (back.count, c.count);
-                back.xray.merge_weighted(wa, &c.xray, wb);
-                back.count += c.count;
+        if let Cohorts::Lean(q) = &mut self.cohorts {
+            // A tail merge stays lean only with finite weights on both
+            // sides (see `LeanCohort::merge_ledger`).
+            let back_finite = q.back().is_none_or(|b| b.count.is_finite());
+            if let (Some(lean), true) = (LeanCohort::of(&c), back_finite) {
+                if push_back(q, lean) {
+                    self.coalesce_oldest();
+                }
                 return;
             }
         }
-        self.cohorts.push_back(c);
-        if self.cohorts.len() > MAX_COHORTS {
+        if push_back(self.cohorts.make_full(), c) {
             self.coalesce_oldest();
         }
     }
@@ -140,53 +318,38 @@ impl CohortQueue {
     /// Removes up to `n` events from the front, FIFO, splitting the
     /// boundary cohort as needed. Returns the removed cohorts.
     pub fn take(&mut self, n: f64) -> Vec<Cohort> {
-        let mut remaining = n.max(0.0);
-        let mut out = Vec::new();
-        while remaining > 1e-12 {
-            let Some(front) = self.cohorts.front_mut() else {
-                break;
-            };
-            if front.count <= remaining + 1e-12 {
-                remaining -= front.count;
-                self.total -= front.count;
-                out.push(*front);
-                self.cohorts.pop_front();
-            } else {
-                front.count -= remaining;
-                self.total -= remaining;
-                let mut taken = *front;
-                taken.count = remaining;
-                out.push(taken);
-                remaining = 0.0;
-            }
-        }
-        if self.cohorts.is_empty() {
+        let out = match &mut self.cohorts {
+            Cohorts::Lean(q) => take_front(q, &mut self.total, n),
+            Cohorts::Full(q) => take_front(q, &mut self.total, n),
+        };
+        if self.cohorts.len() == 0 {
             self.total = 0.0; // absorb float dust
         }
         out
     }
 
-    /// Removes *all* events.
+    /// Removes *all* events; the emptied queue is lean again.
     pub fn drain(&mut self) -> Vec<Cohort> {
         self.total = 0.0;
-        self.cohorts.drain(..).collect()
+        match &mut self.cohorts {
+            Cohorts::Lean(q) => q.drain(..).map(|c| c.cohort()).collect(),
+            Cohorts::Full(q) => {
+                let all = q.drain(..).collect();
+                self.cohorts = Cohorts::default();
+                all
+            }
+        }
     }
 
     /// Drops every cohort whose delay at `now` already exceeds
     /// `max_delay` seconds (the Degrade baseline's late-event drop).
     /// Returns the number of events dropped.
     pub fn drop_late(&mut self, now: SimTime, max_delay: f64) -> f64 {
-        let mut dropped = 0.0;
-        while let Some(front) = self.cohorts.front() {
-            if front.delay_at(now) > max_delay {
-                dropped += front.count;
-                self.total -= front.count;
-                self.cohorts.pop_front();
-            } else {
-                break;
-            }
-        }
-        if self.cohorts.is_empty() {
+        let dropped = match &mut self.cohorts {
+            Cohorts::Lean(q) => drop_late_front(q, &mut self.total, now, max_delay),
+            Cohorts::Full(q) => drop_late_front(q, &mut self.total, now, max_delay),
+        };
+        if self.cohorts.len() == 0 {
             self.total = 0.0;
         }
         dropped
@@ -195,40 +358,118 @@ impl CohortQueue {
     /// Scales every cohort's count by `factor` (used when an operator
     /// with selectivity σ emits its processed events).
     pub fn scaled(cohorts: &[Cohort], factor: f64) -> Vec<Cohort> {
-        cohorts
-            .iter()
-            .filter(|c| c.count * factor > 0.0)
-            .map(|c| Cohort {
-                birth: c.birth,
-                count: c.count * factor,
-                net_latency: c.net_latency,
-                xray: c.xray,
-            })
-            .collect()
+        scaled_iter(cohorts, factor).collect()
     }
 
     /// Merges the oldest half of the queue pairwise, preserving total
     /// count and count-weighted mean birth/latency.
     fn coalesce_oldest(&mut self) {
-        let merge_n = self.cohorts.len() / 2;
-        let mut merged: Vec<Cohort> = Vec::with_capacity(merge_n / 2 + 1);
-        for _ in 0..merge_n / 2 {
-            let a = self.cohorts.pop_front().expect("len checked");
-            let b = self.cohorts.pop_front().expect("len checked");
-            let count = a.count + b.count;
-            let mut xray = a.xray;
-            xray.merge_weighted(a.count, &b.xray, b.count);
-            merged.push(Cohort {
-                birth: SimTime((a.birth.secs() * a.count + b.birth.secs() * b.count) / count),
-                count,
-                net_latency: (a.net_latency * a.count + b.net_latency * b.count) / count,
-                xray,
-            });
+        let pairs = self.cohorts.len() / 4;
+        // As in `push`: lean pair merges need finite weights.
+        if let Cohorts::Lean(q) = &self.cohorts {
+            if !q.range(..2 * pairs).all(|c| c.count.is_finite()) {
+                self.cohorts.make_full();
+            }
         }
-        for c in merged.into_iter().rev() {
-            self.cohorts.push_front(c);
+        match &mut self.cohorts {
+            Cohorts::Lean(q) => coalesce_front(q, pairs),
+            Cohorts::Full(q) => coalesce_front(q, pairs),
         }
     }
+}
+
+/// The lazy form of [`CohortQueue::scaled`], for pushing scaled copies
+/// straight into another queue.
+pub(crate) fn scaled_iter<'a>(
+    cohorts: impl IntoIterator<Item = &'a Cohort> + 'a,
+    factor: f64,
+) -> impl Iterator<Item = Cohort> + 'a {
+    cohorts.into_iter().filter_map(move |c| {
+        let count = c.count * factor;
+        (count > 0.0).then_some(Cohort { count, ..*c })
+    })
+}
+
+/// Pushes `c` onto `q`, merging it into the tail when compatible.
+/// Returns true when the queue has grown past [`MAX_COHORTS`].
+fn push_back<T: Slot>(q: &mut VecDeque<T>, c: T) -> bool {
+    if let Some(back) = q.back_mut() {
+        if (back.birth().secs() - c.birth().secs()).abs() < MERGE_EPS
+            && (back.net_latency() - c.net_latency()).abs() < MERGE_EPS
+        {
+            // Count-weighted ledger mean keeps attribution conserved;
+            // with xray off both ledgers are birth-fresh values and
+            // the mean is a no-op on the components.
+            let (wa, wb) = (back.count(), c.count());
+            back.merge_ledger(wa, &c, wb);
+            *back.count_mut() += wb;
+            return false;
+        }
+    }
+    q.push_back(c);
+    q.len() > MAX_COHORTS
+}
+
+fn take_front<T: Slot>(q: &mut VecDeque<T>, total: &mut f64, n: f64) -> Vec<Cohort> {
+    let mut remaining = n.max(0.0);
+    let mut out = Vec::new();
+    while remaining > 1e-12 {
+        let Some(front) = q.front_mut() else {
+            break;
+        };
+        let count = front.count();
+        if count <= remaining + 1e-12 {
+            remaining -= count;
+            *total -= count;
+            out.push(front.cohort());
+            q.pop_front();
+        } else {
+            *front.count_mut() -= remaining;
+            *total -= remaining;
+            let mut taken = front.cohort();
+            taken.count = remaining;
+            out.push(taken);
+            remaining = 0.0;
+        }
+    }
+    out
+}
+
+fn drop_late_front<T: Slot>(
+    q: &mut VecDeque<T>,
+    total: &mut f64,
+    now: SimTime,
+    max_delay: f64,
+) -> f64 {
+    let mut dropped = 0.0;
+    while let Some(front) = q.front() {
+        if (now - front.birth()) + front.net_latency() > max_delay {
+            dropped += front.count();
+            *total -= front.count();
+            q.pop_front();
+        } else {
+            break;
+        }
+    }
+    dropped
+}
+
+/// Merges the first `2 * k` slots pairwise in place: pair `i` lands in
+/// slot `i`, then the vacated slots `[k, 2k)` are drained.
+fn coalesce_front<T: Slot>(q: &mut VecDeque<T>, k: usize) {
+    for i in 0..k {
+        let (mut a, b) = (q[2 * i], q[2 * i + 1]);
+        let (wa, wb) = (a.count(), b.count());
+        let count = wa + wb;
+        a.merge_ledger(wa, &b, wb);
+        a.set_birth_latency(
+            SimTime((a.birth().secs() * wa + b.birth().secs() * wb) / count),
+            (a.net_latency() * wa + b.net_latency() * wb) / count,
+        );
+        *a.count_mut() = count;
+        q[i] = a;
+    }
+    q.drain(k..2 * k);
 }
 
 #[cfg(test)]

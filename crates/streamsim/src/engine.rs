@@ -23,7 +23,7 @@
 //! * optional **late-event dropping** against an SLO (the Degrade
 //!   baseline).
 
-use crate::cohort::{Cohort, CohortQueue};
+use crate::cohort::{scaled_iter, Cohort, CohortQueue};
 use crate::control::{ControlMetrics, ControlPlaneState, InFlightCommand};
 use crate::ids::OpId;
 use crate::metrics::{FailureEvent, QuerySnapshot, RunMetrics, StageObs, TickRow};
@@ -472,8 +472,11 @@ struct ProcOutcome {
     /// Sink deliveries, in emission order; delay accounting happens in
     /// the reduce so histogram observation order matches sequential.
     deliveries: Vec<Cohort>,
-    /// Downstream pushes, in (downstream op, placement site) order.
-    emissions: Vec<(EdgeKey, Vec<Cohort>)>,
+    /// Downstream pushes, in (downstream op, placement site) order:
+    /// each edge receives `emitted_cohorts` scaled by its share.
+    emissions: Vec<(EdgeKey, f64)>,
+    /// The cohorts emitted downstream, before the per-edge share.
+    emitted_cohorts: Vec<Cohort>,
     /// Flow-view attribution charged at this (op, site) during the
     /// tick: seconds·events per component, indexed by
     /// `Component::ALL`. Folded per-op in the ordered reduce.
@@ -550,6 +553,7 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         emitted: 0.0,
         deliveries: Vec::new(),
         emissions: Vec::new(),
+        emitted_cohorts: Vec::new(),
         xray_nodes: [0.0; 6],
     };
     if blocked {
@@ -645,7 +649,7 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
                     g.absorb_into_window(c, w, sigma, ctx.xray, ctx.t1);
                 }
             } else {
-                g.pending_out.push_all(CohortQueue::scaled(&cohorts, sigma));
+                g.pending_out.push_all(scaled_iter(&cohorts, sigma));
             }
         }
         // --- event-time window firing ---
@@ -734,10 +738,10 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
                         to_op: d,
                         to_site: sd,
                     };
-                    out.emissions
-                        .push((key, CohortQueue::scaled(&cohorts, share)));
+                    out.emissions.push((key, share));
                 }
             }
+            out.emitted_cohorts = cohorts;
         }
     }
     out.group = Some(g);
@@ -2114,18 +2118,17 @@ impl Engine {
         for (site, tasks) in placement.iter() {
             let share = tasks as f64 / p as f64;
             let mut g = Group::fresh(tasks);
-            g.input.push_all(CohortQueue::scaled(&input_cohorts, share));
+            g.input.push_all(scaled_iter(&input_cohorts, share));
             // Buffered open-window contents are *state*: restore them
             // directly into the window accumulator (re-processing them
             // as input would double-charge the CPU).
             if let Some(w) = self.plan.op(op).kind().window_s() {
                 let sigma = self.plan.op(op).selectivity();
-                for c in CohortQueue::scaled(&window_cohorts, share) {
+                for c in scaled_iter(&window_cohorts, share) {
                     g.absorb_into_window(c, w, sigma, xray_on, now);
                 }
             } else {
-                g.input
-                    .push_all(CohortQueue::scaled(&window_cohorts, share));
+                g.input.push_all(scaled_iter(&window_cohorts, share));
             }
             self.init_state(op, &mut g);
             self.groups.insert((op, site), g);
@@ -2283,7 +2286,7 @@ impl Engine {
                 self.edges
                     .entry(key)
                     .or_default()
-                    .push_all(CohortQueue::scaled(&pending, share));
+                    .push_all(scaled_iter(&pending, share));
             }
         }
     }
@@ -2320,7 +2323,7 @@ impl Engine {
                 self.edges
                     .entry(key)
                     .or_default()
-                    .push_all(CohortQueue::scaled(&cohorts, share));
+                    .push_all(scaled_iter(&cohorts, share));
             }
         }
     }
@@ -2354,9 +2357,11 @@ impl Engine {
         let carry_map: BTreeMap<OpId, OpId> = sw.carry.iter().copied().collect();
 
         // (new op, cohorts) input/window/pending data to install.
-        let mut carried_inputs: BTreeMap<OpId, Vec<Cohort>> = BTreeMap::new();
-        let mut carried_windows: BTreeMap<OpId, Vec<Cohort>> = BTreeMap::new();
-        let mut carried_pendings: BTreeMap<OpId, Vec<Cohort>> = BTreeMap::new();
+        // Drained chunks are kept as drained, uncopied; the install
+        // loops below scale them straight into the new queues.
+        let mut carried_inputs: BTreeMap<OpId, Vec<Vec<Cohort>>> = BTreeMap::new();
+        let mut carried_windows: BTreeMap<OpId, Vec<Vec<Cohort>>> = BTreeMap::new();
+        let mut carried_pendings: BTreeMap<OpId, Vec<Vec<Cohort>>> = BTreeMap::new();
         let mut replay: Vec<Cohort> = Vec::new();
         let xray_on = self.xray.is_some();
         let now = self.now;
@@ -2424,11 +2429,11 @@ impl Engine {
                 }
             }
             if let Some(&new_op) = carry_map.get(&op) {
-                carried_inputs.entry(new_op).or_default().extend(input);
-                carried_windows.entry(new_op).or_default().extend(window);
+                carried_inputs.entry(new_op).or_default().push(input);
+                carried_windows.entry(new_op).or_default().push(window);
                 // Pending output is post-σ and semantically identical
                 // under the carried operator: keep it as its output.
-                carried_pendings.entry(new_op).or_default().extend(pending);
+                carried_pendings.entry(new_op).or_default().push(pending);
             } else {
                 if self.plan.op(op).is_stateful() {
                     self.lost_state_mb += g.state_mb;
@@ -2457,7 +2462,7 @@ impl Engine {
                         c.xray.mark_fail = 0.0;
                     }
                 }
-                carried_pendings.entry(new_op).or_default().extend(cohorts);
+                carried_pendings.entry(new_op).or_default().push(cohorts);
                 continue;
             }
             let out_factor = if total_src > 0.0 {
@@ -2487,16 +2492,17 @@ impl Engine {
         }
 
         // Install carried data into the new groups, split by share.
-        for (new_op, cohorts) in carried_inputs {
+        for (new_op, chunks) in carried_inputs {
             let placement = self.physical.placement(new_op).clone();
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    g.input.push_all(CohortQueue::scaled(&cohorts, share));
+                    g.input
+                        .push_all(scaled_iter(chunks.iter().flatten(), share));
                 }
             }
         }
-        for (new_op, cohorts) in carried_windows {
+        for (new_op, chunks) in carried_windows {
             let placement = self.physical.placement(new_op).clone();
             let (window_s, sigma) = match self.plan.op(new_op).kind().window_s() {
                 Some(w) => (Some(w), self.plan.op(new_op).selectivity()),
@@ -2509,21 +2515,24 @@ impl Engine {
                         // Window contents are state: restore them into
                         // the accumulator without re-processing.
                         Some(w) => {
-                            for c in CohortQueue::scaled(&cohorts, share) {
+                            for c in scaled_iter(chunks.iter().flatten(), share) {
                                 g.absorb_into_window(c, w, sigma, xray_on, now);
                             }
                         }
-                        None => g.input.push_all(CohortQueue::scaled(&cohorts, share)),
+                        None => g
+                            .input
+                            .push_all(scaled_iter(chunks.iter().flatten(), share)),
                     }
                 }
             }
         }
-        for (new_op, cohorts) in carried_pendings {
+        for (new_op, chunks) in carried_pendings {
             let placement = self.physical.placement(new_op).clone();
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    g.pending_out.push_all(CohortQueue::scaled(&cohorts, share));
+                    g.pending_out
+                        .push_all(scaled_iter(chunks.iter().flatten(), share));
                 }
             }
         }
@@ -2538,7 +2547,7 @@ impl Engine {
                 let placement = self.physical.placement(src).clone();
                 for (site, _) in placement.iter() {
                     if let Some(g) = self.groups.get_mut(&(src, site)) {
-                        g.pending_out.push_all(CohortQueue::scaled(&replay, share));
+                        g.pending_out.push_all(scaled_iter(&replay, share));
                     }
                 }
             }
@@ -2693,7 +2702,7 @@ impl Engine {
                         match self.stores.get(&op) {
                             Some(store) => {
                                 let frac = store.dirty_weight_fraction();
-                                g.redo.push_all(CohortQueue::scaled(&lost, frac));
+                                g.redo.push_all(scaled_iter(&lost, frac));
                                 if store.compaction().is_enabled()
                                     && !hit.iter().any(|&(o, _)| o == op)
                                 {
@@ -3088,7 +3097,7 @@ impl Engine {
                     if gop == op {
                         let lost = g.since_ckpt.drain();
                         match frac {
-                            Some(f) => g.redo.push_all(CohortQueue::scaled(&lost, f)),
+                            Some(f) => g.redo.push_all(scaled_iter(&lost, f)),
                             None => g.redo.push_all(lost),
                         }
                     }
@@ -3609,8 +3618,11 @@ impl Engine {
             if let Some(xs) = self.xray.as_mut() {
                 xs.rec.charge_node(t1, o.op.0, node_comps);
             }
-            for (key, cohorts) in o.emissions {
-                self.edges.entry(key).or_default().push_all(cohorts);
+            for (key, share) in o.emissions {
+                self.edges
+                    .entry(key)
+                    .or_default()
+                    .push_all(scaled_iter(&o.emitted_cohorts, share));
             }
         }
         self.state_step(&per_op_processed);

@@ -280,3 +280,257 @@ mod engine_props {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// CohortQueue against the reference queue it replaced.
+// ---------------------------------------------------------------------
+
+mod cohort_queue_oracle {
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+    use wasp_netsim::units::SimTime;
+    use wasp_streamsim::cohort::{Cohort, CohortQueue};
+    use wasp_xray::DelayLedger;
+
+    /// The reference queue: every cohort stored in full, coalescing by
+    /// popping pairs off the front and pushing the merged ones back.
+    #[derive(Default)]
+    struct OracleQueue {
+        cohorts: VecDeque<Cohort>,
+        total: f64,
+        coalesces: usize,
+    }
+
+    const MERGE_EPS: f64 = 1e-9;
+    const MAX_COHORTS: usize = 4096;
+
+    impl OracleQueue {
+        fn push(&mut self, c: Cohort) {
+            if c.count <= 0.0 {
+                return;
+            }
+            self.total += c.count;
+            if let Some(back) = self.cohorts.back_mut() {
+                if (back.birth.secs() - c.birth.secs()).abs() < MERGE_EPS
+                    && (back.net_latency - c.net_latency).abs() < MERGE_EPS
+                {
+                    let (wa, wb) = (back.count, c.count);
+                    back.xray.merge_weighted(wa, &c.xray, wb);
+                    back.count += c.count;
+                    return;
+                }
+            }
+            self.cohorts.push_back(c);
+            if self.cohorts.len() > MAX_COHORTS {
+                self.coalesce_oldest();
+            }
+        }
+
+        fn take(&mut self, n: f64) -> Vec<Cohort> {
+            let mut remaining = n.max(0.0);
+            let mut out = Vec::new();
+            while remaining > 1e-12 {
+                let Some(front) = self.cohorts.front_mut() else {
+                    break;
+                };
+                if front.count <= remaining + 1e-12 {
+                    remaining -= front.count;
+                    self.total -= front.count;
+                    out.push(*front);
+                    self.cohorts.pop_front();
+                } else {
+                    front.count -= remaining;
+                    self.total -= remaining;
+                    let mut taken = *front;
+                    taken.count = remaining;
+                    out.push(taken);
+                    remaining = 0.0;
+                }
+            }
+            if self.cohorts.is_empty() {
+                self.total = 0.0;
+            }
+            out
+        }
+
+        fn drain(&mut self) -> Vec<Cohort> {
+            self.total = 0.0;
+            self.cohorts.drain(..).collect()
+        }
+
+        fn drop_late(&mut self, now: SimTime, max_delay: f64) -> f64 {
+            let mut dropped = 0.0;
+            while let Some(front) = self.cohorts.front() {
+                if front.delay_at(now) > max_delay {
+                    dropped += front.count;
+                    self.total -= front.count;
+                    self.cohorts.pop_front();
+                } else {
+                    break;
+                }
+            }
+            if self.cohorts.is_empty() {
+                self.total = 0.0;
+            }
+            dropped
+        }
+
+        fn coalesce_oldest(&mut self) {
+            self.coalesces += 1;
+            let merge_n = self.cohorts.len() / 2;
+            let mut merged: Vec<Cohort> = Vec::with_capacity(merge_n / 2 + 1);
+            for _ in 0..merge_n / 2 {
+                let a = self.cohorts.pop_front().unwrap();
+                let b = self.cohorts.pop_front().unwrap();
+                let count = a.count + b.count;
+                let mut xray = a.xray;
+                xray.merge_weighted(a.count, &b.xray, b.count);
+                merged.push(Cohort {
+                    birth: SimTime((a.birth.secs() * a.count + b.birth.secs() * b.count) / count),
+                    count,
+                    net_latency: (a.net_latency * a.count + b.net_latency * b.count) / count,
+                    xray,
+                });
+            }
+            for c in merged.into_iter().rev() {
+                self.cohorts.push_front(c);
+            }
+        }
+    }
+
+    fn bits(c: &Cohort) -> [u64; 12] {
+        let l = &c.xray;
+        [
+            c.birth.secs(),
+            c.count,
+            c.net_latency,
+            l.queue,
+            l.service,
+            l.transit,
+            l.backpressure,
+            l.migration,
+            l.control,
+            l.attributed_until,
+            l.mark_pause,
+            l.mark_fail,
+        ]
+        .map(f64::to_bits)
+    }
+
+    fn same(a: &[Cohort], b: &[Cohort]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+    }
+
+    /// SplitMix64 stream driving one random operation sequence.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A cohort born at `birth`: unstamped, stamped, or carrying a
+    /// `-0.0` component (equal to `0.0`, but not bitwise).
+    fn cohort(g: &mut Gen, birth: f64, stamp_rate: f64) -> Cohort {
+        let mut c = Cohort::new(SimTime(birth), 0.5 + 100.0 * g.unit());
+        if g.unit() < 0.3 {
+            c.net_latency = [0.05, 0.2][(g.next() % 2) as usize];
+            c.xray.attributed_until = birth + c.net_latency;
+        }
+        let r = g.unit();
+        if r < stamp_rate / 2.0 {
+            c.xray = DelayLedger::new(birth);
+            c.xray.queue = g.unit();
+            c.xray.mark_pause = 3.0 * g.unit();
+        } else if r < stamp_rate {
+            c.xray.transit = -0.0;
+        }
+        c
+    }
+
+    /// Non-finite counts: merging with an infinite weight turns the
+    /// zero ledger components into NaN, so the queue must keep such
+    /// cohorts in full form.
+    #[test]
+    fn non_finite_counts_match_reference_bitwise() {
+        for counts in [
+            [f64::INFINITY, 1.0],
+            [1.0, f64::INFINITY],
+            [f64::MAX, f64::MAX],
+        ] {
+            let mut q = CohortQueue::new();
+            let mut o = OracleQueue::default();
+            for count in counts.into_iter().chain([2.0]) {
+                let c = Cohort::new(SimTime(1.0), count);
+                q.push(c);
+                o.push(c);
+            }
+            assert!(same(&q.drain(), &o.drain()), "counts {counts:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random push/take/drain/drop_late sequences that cross the
+        /// coalescing threshold several times: every returned cohort,
+        /// `len_events` and `len_cohorts` equal the reference queue's
+        /// bit for bit, whichever storage the queue is in.
+        #[test]
+        fn cohort_queue_matches_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            stamp_rate in 0.0f64..0.002,
+            stamped_run in proptest::bool::ANY,
+        ) {
+            let stamp_rate = if stamped_run { stamp_rate } else { 0.0 };
+            let mut g = Gen(seed);
+            let mut q = CohortQueue::new();
+            let mut o = OracleQueue::default();
+            let mut clock = 0.0;
+            for step in 0..80 {
+                let op = g.next() % 20;
+                if op < 14 {
+                    // A burst of pushes; repeated births merge into
+                    // the tail, long bursts trigger coalescing.
+                    let n = (g.next() % 3000) as usize;
+                    for _ in 0..n {
+                        if g.unit() < 0.7 {
+                            clock += g.unit();
+                        }
+                        let c = cohort(&mut g, clock, stamp_rate);
+                        q.push(c);
+                        o.push(c);
+                    }
+                } else if op < 18 {
+                    let n = o.total * g.unit() * 0.5;
+                    let (got, want) = (q.take(n), o.take(n));
+                    prop_assert!(same(&got, &want), "take({n}) differs at step {step}");
+                } else if op < 19 {
+                    let max_delay = 50.0 * g.unit();
+                    let now = SimTime(clock);
+                    let (got, want) = (q.drop_late(now, max_delay), o.drop_late(now, max_delay));
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                } else {
+                    prop_assert!(same(&q.drain(), &o.drain()), "drain differs at step {step}");
+                }
+                prop_assert_eq!(q.len_events().to_bits(), o.total.to_bits());
+                prop_assert_eq!(q.len_cohorts(), o.cohorts.len());
+                prop_assert_eq!(
+                    q.oldest_birth().map(|b| b.secs().to_bits()),
+                    o.cohorts.front().map(|c| c.birth.secs().to_bits())
+                );
+            }
+            prop_assert!(o.coalesces >= 3, "only {} coalesces", o.coalesces);
+            prop_assert!(same(&q.drain(), &o.drain()));
+        }
+    }
+}
