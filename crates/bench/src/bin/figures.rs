@@ -59,6 +59,7 @@ fn main() {
                 cfg.dt = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|f: &f64| f.is_finite() && *f > 0.0)
                     .unwrap_or_else(|| usage())
             }
             "--out" => out_dir = Some(it.next().unwrap_or_else(|| usage())),

@@ -10,16 +10,15 @@
 //! wasp-bench --quick --jobs 8                # fan repeats across 8 threads
 //! ```
 //!
-//! `--jobs N` fans the (repeat × scenario) grid across a thread pool.
-//! Every unit is fully isolated — its own `ScenarioConfig`, its own
+//! `--jobs N` fans the (repeat × scenario) grid across `N` threads
+//! (`0` = one per available core; the default, 1, runs it inline).
+//! Every cell is fully isolated — its own `ScenarioConfig`, its own
 //! recording `MetricsHub`, its own engine RNG seeded from `--seed` —
-//! so the simulation results are bit-identical at any `--jobs` value;
-//! only wall-clock readings move. Per-repeat delay histograms are
-//! merged back into one cross-repeat histogram per scenario via
-//! `LogHistogram::merge` (the `merged_delay_*` report fields). The
-//! report also carries a `thread_sweep` section: the gated scenario
-//! re-run with *engine-level* parallelism 1/2/8, proving the parallel
-//! tick runtime reproduces the sequential recording byte-for-byte.
+//! and each engine runs single-threaded, so the simulation results
+//! are bit-identical at any `--jobs` value; only wall-clock readings
+//! move. Per-repeat delay histograms are merged back into one
+//! cross-repeat histogram per scenario via `LogHistogram::merge` (the
+//! `merged_delay_*` report fields).
 //!
 //! Wall-clock numbers are machine-dependent, so the report also
 //! carries a *calibration score* (a fixed pure-CPU loop measured at
@@ -91,18 +90,6 @@ struct ScenarioBench {
     compaction_mb: f64,
 }
 
-/// One engine-parallelism point of the determinism/throughput sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ThreadSweepEntry {
-    /// Engine worker threads (`Engine::set_parallelism`).
-    engine_jobs: usize,
-    /// Calibration-normalized throughput at this parallelism.
-    ticks_per_mop: f64,
-    /// Whether the run's `RunMetrics` serialized byte-identically to
-    /// the `engine_jobs = 1` reference run.
-    bit_identical: bool,
-}
-
 /// Time-to-recover for one injected failure.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct FailureRecovery {
@@ -130,10 +117,6 @@ struct BenchReport {
     jobs: usize,
     /// Per-scenario results.
     scenarios: Vec<ScenarioBench>,
-    /// Engine-parallelism determinism/throughput sweep (gated scenario
-    /// at `engine_jobs` ∈ {1, 2, 8}).
-    #[serde(default)]
-    thread_sweep: Vec<ThreadSweepEntry>,
 }
 
 fn usage() -> ! {
@@ -465,7 +448,7 @@ fn main() {
     let mut csv_out: Option<String> = None;
     let mut prom_out: Option<String> = None;
     let mut repeat = 9u32;
-    let mut jobs_arg: Option<usize> = None;
+    let mut jobs = 1usize;
     let mut cfg = ScenarioConfig::default();
 
     let mut it = args.into_iter();
@@ -485,11 +468,10 @@ fn main() {
                     .unwrap_or_else(|| usage())
             }
             "--jobs" => {
-                jobs_arg = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
+                jobs = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             "--out" => out = it.next().unwrap_or_else(|| usage()),
             "--baseline" => baseline = Some(it.next().unwrap_or_else(|| usage())),
@@ -505,9 +487,10 @@ fn main() {
             _ => usage(),
         }
     }
-    // `--jobs 0` = one worker per available core; no flag = WASP_JOBS /
-    // RAYON_NUM_THREADS, else sequential.
-    let jobs = wasp_parallel::resolve_jobs(jobs_arg);
+    // `--jobs 0` = one worker per available core.
+    if jobs == 0 {
+        jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    }
     // Quick mode trades tick resolution for CI speed; the qualitative
     // behavior (adaptations, recoveries) survives the coarser dt, and
     // runs stay long enough (≥ ~50 ms) to time reliably.
@@ -545,7 +528,7 @@ fn main() {
     );
     let (seed, dt) = (cfg.seed, cfg.dt);
     let want_dumps = prom_out.is_some() || csv_out.is_some();
-    let outcomes = wasp_parallel::map_ordered(units, jobs, |unit: WorkUnit| {
+    let outcomes = wasp_bench::map_ordered(units, jobs, |unit: WorkUnit| {
         // Each cell gets a private config and a private recording hub:
         // nothing mutable is shared between workers, so the simulated
         // results cannot depend on the schedule.
@@ -633,57 +616,14 @@ fn main() {
     );
     scenarios.push(sched);
 
-    // Engine-parallelism sweep over the gated scenario: same seed and
-    // dt, engine worker pool at 1/2/8 threads. Beyond the throughput
-    // points, this asserts the determinism contract end-to-end: every
-    // parallel run must serialize byte-identically to the sequential
-    // reference (the differential test suite proves the same property
-    // hermetically; this repeats it on the release binary).
-    let mut thread_sweep = Vec::new();
-    let mut reference: Option<String> = None;
-    for engine_jobs in [1usize, 2, 8] {
-        let c = ScenarioConfig {
-            seed,
-            dt,
-            jobs: engine_jobs,
-            metrics: MetricsHub::recording(10.0),
-            xray: Some(XRAY_DEFAULT_WINDOW_S),
-            ..Default::default()
-        };
-        let mops = calibrate();
-        let t0 = Instant::now();
-        let r = run_84_topk(&c);
-        let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-        // The digest covers the attribution snapshot too: byte-identity
-        // across engine_jobs now proves the x-ray ledgers, not just the
-        // delay metrics, are schedule-independent.
-        let digest = serde_json::to_string(&(&r.metrics, &r.xray)).expect("serialize metrics");
-        let bit_identical = reference.get_or_insert_with(|| digest.clone()) == &digest;
-        let ticks_per_mop = (r.metrics.ticks().len() as f64 / wall_s) / mops.max(1e-9);
-        eprintln!(
-            "thread_sweep engine_jobs={engine_jobs}: {ticks_per_mop:.3} ticks/Mop, \
-             bit_identical={bit_identical}"
-        );
-        thread_sweep.push(ThreadSweepEntry {
-            engine_jobs,
-            ticks_per_mop,
-            bit_identical,
-        });
-    }
-    if thread_sweep.iter().any(|e| !e.bit_identical) {
-        eprintln!("DETERMINISM VIOLATION: parallel engine run diverged from sequential");
-        std::process::exit(1);
-    }
-
     let report = BenchReport {
-        version: 3,
+        version: 4,
         quick,
         seed: cfg.seed,
         dt: cfg.dt,
         calibration_mops,
         jobs,
         scenarios,
-        thread_sweep,
     };
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

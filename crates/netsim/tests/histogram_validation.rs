@@ -97,11 +97,11 @@ fn single_sample_is_every_quantile() {
     }
 }
 
-/// Property tests for the merge algebra the parallel runtime leans
-/// on: the bench driver folds per-repeat delay shards in submission
-/// order, so merging must behave like multiset union — commutative,
-/// associative, and indistinguishable from having observed the single
-/// concatenated stream.
+/// Property tests for the merge algebra the bench driver's grid
+/// fan-out leans on: the driver folds per-repeat delay shards in
+/// submission order, so merging must behave like multiset union —
+/// commutative, associative, and indistinguishable from having
+/// observed the single concatenated stream.
 ///
 /// Values are drawn from `[1e-3, 1e3]` (≈ 1.4k of the 4096 buckets)
 /// so the budget-exhaustion clamp never engages — under clamping,

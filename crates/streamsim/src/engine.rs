@@ -125,6 +125,10 @@ pub enum EngineError {
         /// The engine's fencing epoch at rejection time.
         engine_epoch: u64,
     },
+    /// The configured tick `dt` is not a finite, positive number of
+    /// seconds (time would never advance, or a run would take
+    /// unboundedly many ticks).
+    InvalidDt(f64),
 }
 
 impl fmt::Display for EngineError {
@@ -145,6 +149,9 @@ impl fmt::Display for EngineError {
                     f,
                     "stale controller epoch {cmd_epoch} (engine at {engine_epoch})"
                 )
+            }
+            EngineError::InvalidDt(dt) => {
+                write!(f, "tick dt must be finite and positive, got {dt}")
             }
         }
     }
@@ -414,73 +421,14 @@ struct EdgeKey {
     to_site: SiteId,
 }
 
-/// One unit of per-tick work: a (stage, site) group plus the per-site
-/// inputs sampled while sharding. Owns its `Group` for the duration of
-/// the compute phase, so tasks share no mutable state.
-struct ProcTask {
-    op: OpId,
-    site: SiteId,
-    /// Site failed or stage suspended this tick: the group only marks
-    /// backpressure, processing and emission are skipped.
-    blocked: bool,
-    /// The block is a site failure (attribution: control-plane
-    /// adaptation lag) rather than a migration suspension.
-    blocked_by_failure: bool,
-    /// Key-weight share paused by in-flight partition slices (0 when
-    /// none); attribution charges it as partial migration pause.
-    paused_frac: f64,
-    /// Straggler slowdown factor for this site at tick start.
-    compute_factor: f64,
-    /// `None` only for blocked placements with no instantiated group.
-    group: Option<Group>,
-}
-
-/// The immutable pre-tick view shared (read-only) by every compute
-/// task. Everything here is plain data, so the borrow is `Sync` and
-/// worker threads can consume it concurrently.
-struct ProcCtx<'a> {
-    plan: &'a LogicalPlan,
-    physical: &'a PhysicalPlan,
-    cfg: &'a EngineConfig,
-    edges: &'a BTreeMap<EdgeKey, CohortQueue>,
-    dt: f64,
-    /// End-of-tick time; the attribution frontier every ledger stamp
-    /// in this tick closes to.
-    t1: f64,
-    /// Delay attribution enabled: cohort ledgers are stamped at queue
-    /// dequeue and emission, and flow charges are returned in
-    /// `ProcOutcome::xray_nodes`.
-    xray: bool,
-}
-
-/// Everything a task wants to say back to the engine. The reduce phase
-/// applies outcomes in task order, reproducing the sequential loop's
-/// mutations exactly.
-struct ProcOutcome {
-    op: OpId,
-    site: SiteId,
-    /// The group, handed back for re-insertion.
-    group: Option<Group>,
-    /// The group newly entered backpressure this tick (at most one
-    /// counter increment per task, mirroring the `!g.backpressured`
-    /// guards of the sequential path).
-    backpressure: bool,
-    /// Events processed (drives the per-op throughput counter).
-    processed: f64,
-    /// Events emitted (drives the per-op emission counter).
-    emitted: f64,
-    /// Sink deliveries, in emission order; delay accounting happens in
-    /// the reduce so histogram observation order matches sequential.
-    deliveries: Vec<Cohort>,
-    /// Downstream pushes, in (downstream op, placement site) order:
-    /// each edge receives `emitted_cohorts` scaled by its share.
-    emissions: Vec<(EdgeKey, f64)>,
-    /// The cohorts emitted downstream, before the per-edge share.
-    emitted_cohorts: Vec<Cohort>,
-    /// Flow-view attribution charged at this (op, site) during the
-    /// tick: seconds·events per component, indexed by
-    /// `Component::ALL`. Folded per-op in the ordered reduce.
-    xray_nodes: [f64; 6],
+/// Running sums of one tick's processing pass.
+struct TickSums {
+    /// Events delivered at sinks.
+    delivered: f64,
+    /// Σ delay × events over those deliveries.
+    delay_sum: f64,
+    /// Events processed per op (indexed by `OpId`), for `state_step`.
+    per_op_processed: Vec<f64>,
 }
 
 /// Closes a cohort's input-queue interval up to `until`. The overlap
@@ -529,223 +477,6 @@ fn close_pending_interval(c: &mut Cohort, until: f64, service_dt: f64) -> [f64; 
     comps[Component::Service as usize] = service;
     comps[Component::Backpressure as usize] = stall;
     comps
-}
-
-/// The compute phase for one task: a pure function of the task and the
-/// pre-tick context. Must not touch any engine-global mutable state —
-/// every effect is returned in the [`ProcOutcome`].
-fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
-    let ProcTask {
-        op,
-        site,
-        blocked,
-        blocked_by_failure,
-        paused_frac,
-        compute_factor,
-        group,
-    } = task;
-    let mut out = ProcOutcome {
-        op,
-        site,
-        group: None,
-        backpressure: false,
-        processed: 0.0,
-        emitted: 0.0,
-        deliveries: Vec::new(),
-        emissions: Vec::new(),
-        emitted_cohorts: Vec::new(),
-        xray_nodes: [0.0; 6],
-    };
-    if blocked {
-        if let Some(mut g) = group {
-            if !g.backpressured {
-                g.backpressured = true;
-                out.backpressure = true;
-            }
-            if ctx.xray {
-                // The whole tick is a pause for everything queued
-                // here; queued cohorts pick it up at dequeue via the
-                // mark/cum split.
-                if blocked_by_failure {
-                    g.pause_fail_cum += ctx.dt;
-                } else {
-                    g.pause_mig_cum += ctx.dt;
-                }
-            }
-            out.group = Some(g);
-        }
-        return out;
-    }
-    let spec = ctx.plan.op(op);
-    let sigma = spec.selectivity();
-    let is_sink = spec.kind().is_sink();
-    let is_source = spec.kind().is_source();
-    let windowed = spec.kind().window_s().is_some();
-    let mut g = group.expect("deployed group");
-    if ctx.xray && paused_frac > 0.0 {
-        // A partitioned migration pauses a key-space fraction of this
-        // group; the pause time accrues pro rata.
-        g.pause_mig_cum += paused_frac.min(1.0) * ctx.dt;
-    }
-    // --- processing ---
-    if !is_source {
-        // Straggler sites run at a fraction of nominal speed.
-        let mut capacity = spec.capacity_per_task() * g.tasks as f64 * ctx.dt * compute_factor;
-        if !capacity.is_finite() {
-            capacity = g.redo.len_events() + g.input.len_events();
-        }
-        // Redo work (post-failure recovery) consumes capacity but
-        // emits nothing.
-        let redo_n = g.redo.len_events().min(capacity);
-        if redo_n > 0.0 {
-            g.redo.take(redo_n);
-            capacity -= redo_n;
-        }
-        // Output-buffer space limits processing (this is the
-        // backpressure stall).
-        let pending_room = (ctx.cfg.edge_buffer_events - g.pending_out.len_events()).max(0.0);
-        let out_limit = if is_sink {
-            f64::INFINITY
-        } else if sigma > 0.0 {
-            pending_room / sigma
-        } else {
-            f64::INFINITY
-        };
-        let n = capacity.min(g.input.len_events()).min(out_limit);
-        if out_limit < capacity.min(g.input.len_events()) {
-            g.out_blocked = true;
-        }
-        let per_task = spec.capacity_per_task();
-        let queue_cap = if per_task.is_finite() {
-            ctx.cfg.queue_capacity_s * per_task * g.tasks as f64
-        } else {
-            f64::INFINITY
-        };
-        if (g.input.len_events() >= 0.95 * queue_cap || out_limit < g.input.len_events())
-            && !g.backpressured
-        {
-            g.backpressured = true;
-            out.backpressure = true;
-        }
-        if n > 0.0 {
-            let mut cohorts = g.input.take(n);
-            if ctx.xray {
-                for c in &mut cohorts {
-                    let comps =
-                        close_queue_interval(c, g.pause_mig_cum, g.pause_fail_cum, ctx.t1, ctx.dt);
-                    for (acc, v) in out.xray_nodes.iter_mut().zip(comps) {
-                        *acc += v * c.count;
-                    }
-                    c.xray.mark_pause = g.pause_mig_cum;
-                    c.xray.mark_fail = g.pause_fail_cum;
-                }
-            }
-            g.processed += n;
-            out.processed = n;
-            g.since_ckpt.push_all(cohorts.iter().copied());
-            if windowed {
-                let w = spec.kind().window_s().expect("windowed op");
-                for c in cohorts {
-                    g.absorb_into_window(c, w, sigma, ctx.xray, ctx.t1);
-                }
-            } else {
-                g.pending_out.push_all(scaled_iter(&cohorts, sigma));
-            }
-        }
-        // --- event-time window firing ---
-        // A tumbling window fires once the watermark (the latest event
-        // time seen) passes its end: its result carries the window's
-        // max event time — the paper's delay rule (§8.3). Straggler
-        // events for already-fired windows were emitted immediately by
-        // `absorb_into_window` (late-firing updates).
-        if windowed {
-            let w = spec.kind().window_s().expect("windowed op");
-            g.fire_ready_windows(w, sigma, ctx.xray, ctx.t1, &mut out.xray_nodes);
-        }
-        // --- state bookkeeping ---
-        match spec.state() {
-            StateModel::Stateless => {}
-            StateModel::Fixed(_) => { /* fixed: set at deploy */ }
-            StateModel::Window { bytes_per_event } => {
-                g.state_mb = g.window_events() * bytes_per_event / 1e6;
-            }
-        }
-    }
-    // --- emission: pending_out → edge buffers / sink ---
-    let downstream = ctx.plan.downstream(op);
-    let pending_len = g.pending_out.len_events();
-    let emit_n = if pending_len <= 0.0 {
-        0.0
-    } else if is_sink {
-        pending_len
-    } else {
-        // Limited by the fullest outgoing buffer. Only this task ever
-        // writes those buffers (the key carries `(op, site)` as its
-        // source), so the pre-tick snapshot is exact.
-        let mut limit = f64::INFINITY;
-        if !is_source {
-            for &d in downstream {
-                let placement = ctx.physical.placement(d);
-                for (sd, _) in placement.iter() {
-                    let share = placement.share(sd);
-                    if share <= 0.0 {
-                        continue;
-                    }
-                    let key = EdgeKey {
-                        from_op: op,
-                        from_site: site,
-                        to_op: d,
-                        to_site: sd,
-                    };
-                    let used = ctx.edges.get(&key).map(|q| q.len_events()).unwrap_or(0.0);
-                    let free = (ctx.cfg.edge_buffer_events - used).max(0.0);
-                    limit = limit.min(free / share);
-                }
-            }
-        }
-        pending_len.min(limit)
-    };
-    if emit_n > 0.0 {
-        let mut cohorts = g.pending_out.take(emit_n);
-        if ctx.xray {
-            // Sources charge their generation tick as service; everyone
-            // else waited here only because a downstream buffer was
-            // full.
-            let sdt = if is_source { ctx.dt } else { 0.0 };
-            for c in &mut cohorts {
-                let comps = close_pending_interval(c, ctx.t1, sdt);
-                for (acc, v) in out.xray_nodes.iter_mut().zip(comps) {
-                    *acc += v * c.count;
-                }
-            }
-        }
-        g.emitted += emit_n;
-        out.emitted = emit_n;
-        if emit_n < pending_len && !g.backpressured {
-            g.backpressured = true;
-            out.backpressure = true;
-        }
-        if is_sink {
-            out.deliveries = cohorts;
-        } else {
-            for &d in downstream {
-                let placement = ctx.physical.placement(d);
-                for (sd, _) in placement.iter() {
-                    let share = placement.share(sd);
-                    let key = EdgeKey {
-                        from_op: op,
-                        from_site: site,
-                        to_op: d,
-                        to_site: sd,
-                    };
-                    out.emissions.push((key, share));
-                }
-            }
-            out.emitted_cohorts = cohorts;
-        }
-    }
-    out.group = Some(g);
-    out
 }
 
 #[derive(Debug, Clone)]
@@ -1069,10 +800,6 @@ pub struct Engine {
     /// integer count (`now = tick × dt`) so long runs cannot
     /// accumulate floating-point drift across platforms.
     tick: u64,
-    /// Worker threads for the sharded compute phase of each tick
-    /// (1 = run inline). Results are bit-identical for every value —
-    /// see `process_step`.
-    jobs: usize,
     groups: BTreeMap<(OpId, SiteId), Group>,
     edges: BTreeMap<EdgeKey, CohortQueue>,
     migrations: Vec<Migration>,
@@ -1140,7 +867,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Physical`] if the physical plan is
+    /// Returns [`EngineError::InvalidDt`] if `cfg.dt` is not finite and
+    /// positive, and [`EngineError::Physical`] if the physical plan is
     /// invalid for the network's topology.
     pub fn new(
         mut net: Network,
@@ -1149,6 +877,9 @@ impl Engine {
         physical: PhysicalPlan,
         cfg: EngineConfig,
     ) -> Result<Engine, EngineError> {
+        if !(cfg.dt.is_finite() && cfg.dt > 0.0) {
+            return Err(EngineError::InvalidDt(cfg.dt));
+        }
         physical.validate(&plan, net.topology())?;
         if let Some(series) = script.bandwidth_series() {
             let combined = net.global_factor().combine(series);
@@ -1167,7 +898,6 @@ impl Engine {
             cfg,
             now: 0.0,
             tick: 0,
-            jobs: 1,
             groups: BTreeMap::new(),
             edges: BTreeMap::new(),
             migrations: Vec::new(),
@@ -1207,20 +937,6 @@ impl Engine {
     /// Completed simulation ticks (`now() == tick() × dt`).
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-
-    /// Sets the number of worker threads used for the per-tick compute
-    /// phase (clamped to at least 1). The engine's results are
-    /// bit-identical for every value: parallel workers only compute
-    /// task outcomes, and a single ordered reduce applies them in the
-    /// sequential task order.
-    pub fn set_parallelism(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
-
-    /// Worker threads used for the per-tick compute phase.
-    pub fn parallelism(&self) -> usize {
-        self.jobs
     }
 
     /// The deployed logical plan.
@@ -3470,38 +3186,24 @@ impl Engine {
 
     /// Per-tick processing + emission over every (stage, site) group.
     ///
-    /// # Deterministic parallelism
+    /// # Determinism
     ///
-    /// The tick is executed as *shard → compute → ordered reduce*:
-    ///
-    /// 1. **Shard** (sequential): one task per deployed (op, site)
-    ///    group, in the stable sequential order — topological operator
-    ///    order, then the placement's site order. Each task takes
-    ///    ownership of its `Group` and a snapshot of the per-site
-    ///    inputs it needs (failure/suspension status, compute factor).
-    /// 2. **Compute** (parallel over `self.jobs` workers, or inline
-    ///    when `jobs == 1`): [`run_proc_task`] is a pure function of
-    ///    the task plus the *pre-tick* immutable view (`plan`,
-    ///    `physical`, `cfg`, edge buffers). Tasks are independent by
-    ///    construction: a group is private to its task, and an edge
-    ///    buffer keyed `(from_op, from_site, …)` is only ever read or
-    ///    written by the task that owns `(from_op, from_site)` — so
-    ///    reading the pre-tick `edges` map reproduces exactly what the
-    ///    sequential interleaving observed.
-    /// 3. **Reduce** (sequential, in task order): groups are
-    ///    re-inserted, sink deliveries are folded into the run metrics
-    ///    and histograms, and emissions are pushed into the edge
-    ///    buffers — the identical mutations, in the identical order,
-    ///    as the historical single-threaded loop. Results are
-    ///    therefore bit-identical for every thread count.
+    /// The tick is one ordered pass: topological operator order, then
+    /// the placement's site order. Each (op, site) group is processed
+    /// by [`Engine::process_group`] and its effects applied before the
+    /// next group starts. A group reads and writes only state it owns —
+    /// its `Group`, and the edge buffers keyed `(from_op, from_site, …)`
+    /// with its own `(op, site)` — plus run-wide sinks (run metrics,
+    /// instruments, the xray recorder) that it appends to in pass order.
+    /// The emission limit a group reads from its outgoing buffers is
+    /// therefore the pre-tick value no matter where in the pass the
+    /// group runs, and a run is a pure function of its configuration.
     fn process_step(&mut self, t0: f64, dt: f64) -> (f64, f64) {
-        let t1 = t0 + dt;
         // Expired chain-replay stalls release their ops (empty unless
         // compaction modeling is on).
         if !self.recovery_replays.is_empty() {
             self.recovery_replays.retain(|_, ready| t0 < *ready);
         }
-        // --- shard: one task per (op, site), in sequential order ---
         let topo: Vec<OpId> = self.plan.topo_order().to_vec();
         // Partitioned migrations pause only the partitions in flight:
         // the op keeps processing, at capacity scaled down by the
@@ -3522,7 +3224,11 @@ impl Engine {
             }
             *inflight.entry(op).or_insert(0.0) += w;
         }
-        let mut tasks: Vec<ProcTask> = Vec::new();
+        let mut sums = TickSums {
+            delivered: 0.0,
+            delay_sum: 0.0,
+            per_op_processed: vec![0.0; self.plan.len()],
+        };
         for &op in &topo {
             let suspended = self.is_suspended(op);
             // Chain replay stalls the whole op (its state is not yet
@@ -3530,103 +3236,287 @@ impl Engine {
             let replaying = self.recovery_replays.contains_key(&op);
             let paused = inflight.get(&op).copied().unwrap_or(0.0);
             for site in self.physical.placement(op).sites() {
-                let compute_factor = if paused > 0.0 {
-                    self.script.compute_factor(site, SimTime(t0)) * (1.0 - paused.min(1.0))
-                } else {
-                    self.script.compute_factor(site, SimTime(t0))
-                };
                 let failed = self.site_failed(site, t0);
-                tasks.push(ProcTask {
-                    op,
-                    site,
-                    blocked: failed || suspended || replaying,
-                    blocked_by_failure: failed || replaying,
-                    paused_frac: paused,
-                    compute_factor,
-                    group: self.groups.remove(&(op, site)),
-                });
+                if !(failed || suspended || replaying) {
+                    self.process_group(op, site, paused, t0, dt, &mut sums);
+                    continue;
+                }
+                // Blocked: the group only marks backpressure; processing
+                // and emission are skipped.
+                let Some(g) = self.groups.get_mut(&(op, site)) else {
+                    continue;
+                };
+                if !g.backpressured {
+                    g.backpressured = true;
+                    if let Some(em) = &self.em {
+                        em.backpressure[op.index()].inc();
+                    }
+                }
+                if self.xray.is_some() {
+                    // The whole tick is a pause for everything queued
+                    // here; queued cohorts pick it up at dequeue via the
+                    // mark/cum split. A site failure or replay is
+                    // control-plane adaptation lag, a suspension is
+                    // migration pause.
+                    if failed || replaying {
+                        g.pause_fail_cum += dt;
+                    } else {
+                        g.pause_mig_cum += dt;
+                    }
+                }
             }
         }
-        // --- compute: pure per-task work, parallel when jobs > 1 ---
-        let ctx = ProcCtx {
-            plan: &self.plan,
-            physical: &self.physical,
-            cfg: &self.cfg,
-            edges: &self.edges,
-            dt,
-            t1,
-            xray: self.xray.is_some(),
+        self.state_step(&sums.per_op_processed);
+        (sums.delivered, sums.delay_sum)
+    }
+
+    /// Processes one deployed, unblocked (op, site) group over the tick
+    /// `[t0, t0 + dt)` and applies its effects: run-metric deliveries
+    /// and instrument counts, xray flow charges, and pushes into its
+    /// own outgoing edge buffers. `paused` is the op's key-weight share
+    /// held by in-flight partition slices (0 when none).
+    fn process_group(
+        &mut self,
+        op: OpId,
+        site: SiteId,
+        paused: f64,
+        t0: f64,
+        dt: f64,
+        sums: &mut TickSums,
+    ) {
+        let t1 = t0 + dt;
+        let xray = self.xray.is_some();
+        // Straggler slowdown for this site, less the paused share.
+        let compute_factor = if paused > 0.0 {
+            self.script.compute_factor(site, SimTime(t0)) * (1.0 - paused.min(1.0))
+        } else {
+            self.script.compute_factor(site, SimTime(t0))
         };
-        let outcomes = wasp_parallel::map_ordered(tasks, self.jobs, |t| run_proc_task(&ctx, t));
-        // --- ordered reduce: apply outcomes in sequential task order ---
-        let mut delivered_total = 0.0;
-        let mut delay_sum = 0.0;
-        let mut per_op_processed = vec![0.0; self.plan.len()];
-        for o in outcomes {
-            if let Some(g) = o.group {
-                self.groups.insert((o.op, o.site), g);
+        let spec = self.plan.op(op);
+        let sigma = spec.selectivity();
+        let is_sink = spec.kind().is_sink();
+        let is_source = spec.kind().is_source();
+        let windowed = spec.kind().window_s().is_some();
+        let mut g = self.groups.remove(&(op, site)).expect("deployed group");
+        // The group newly entered backpressure this tick (at most one
+        // counter increment per group).
+        let mut backpressure = false;
+        let mut processed = 0.0;
+        // Flow-view attribution charged at this (op, site) during the
+        // tick: seconds·events per component, indexed by
+        // `Component::ALL`.
+        let mut node_comps = [0.0; 6];
+        if xray && paused > 0.0 {
+            // A partitioned migration pauses a key-space fraction of this
+            // group; the pause time accrues pro rata.
+            g.pause_mig_cum += paused.min(1.0) * dt;
+        }
+        // --- processing ---
+        if !is_source {
+            // Straggler sites run at a fraction of nominal speed.
+            let mut capacity = spec.capacity_per_task() * g.tasks as f64 * dt * compute_factor;
+            if !capacity.is_finite() {
+                capacity = g.redo.len_events() + g.input.len_events();
             }
-            if let Some(p) = per_op_processed.get_mut(o.op.index()) {
-                *p += o.processed;
+            // Redo work (post-failure recovery) consumes capacity but
+            // emits nothing.
+            let redo_n = g.redo.len_events().min(capacity);
+            if redo_n > 0.0 {
+                g.redo.take(redo_n);
+                capacity -= redo_n;
             }
-            if let Some(em) = &self.em {
-                if o.backpressure {
-                    em.backpressure[o.op.index()].inc();
-                }
-                if o.processed > 0.0 {
-                    em.processed[o.op.index()].add(o.processed);
-                }
-                if o.emitted > 0.0 {
-                    em.emitted[o.op.index()].add(o.emitted);
-                }
+            // Output-buffer space limits processing (this is the
+            // backpressure stall).
+            let pending_room = (self.cfg.edge_buffer_events - g.pending_out.len_events()).max(0.0);
+            let out_limit = if is_sink {
+                f64::INFINITY
+            } else if sigma > 0.0 {
+                pending_room / sigma
+            } else {
+                f64::INFINITY
+            };
+            let n = capacity.min(g.input.len_events()).min(out_limit);
+            if out_limit < capacity.min(g.input.len_events()) {
+                g.out_blocked = true;
             }
-            let mut node_comps = o.xray_nodes;
-            if !o.deliveries.is_empty() {
-                let sink_hist = self
-                    .em
-                    .as_ref()
-                    .and_then(|em| em.delivery[o.op.index()].as_ref());
-                for c in &o.deliveries {
-                    let d = c.delay_at(SimTime(t1));
-                    delivered_total += c.count;
-                    delay_sum += d * c.count;
-                    self.metrics.record_delivery(d, c.count);
-                    if let Some(h) = sink_hist {
-                        h.observe(d, c.count);
-                    }
-                    if self.xray.is_some() {
-                        // Close any still-unattributed residual (e.g.
-                        // sink-side buffering) so components sum to the
-                        // exact recorded delay.
-                        let residual = (t1 - c.xray.attributed_until).max(0.0);
-                        let mut comps = c.xray.components();
-                        comps[Component::Backpressure as usize] += residual;
-                        node_comps[Component::Backpressure as usize] += residual * c.count;
-                        if let Some(xs) = self.xray.as_mut() {
-                            xs.rec.observe_delivery(t1, o.op.0, d, comps, c.count);
+            let per_task = spec.capacity_per_task();
+            let queue_cap = if per_task.is_finite() {
+                self.cfg.queue_capacity_s * per_task * g.tasks as f64
+            } else {
+                f64::INFINITY
+            };
+            if (g.input.len_events() >= 0.95 * queue_cap || out_limit < g.input.len_events())
+                && !g.backpressured
+            {
+                g.backpressured = true;
+                backpressure = true;
+            }
+            if n > 0.0 {
+                let mut cohorts = g.input.take(n);
+                if xray {
+                    for c in &mut cohorts {
+                        let comps =
+                            close_queue_interval(c, g.pause_mig_cum, g.pause_fail_cum, t1, dt);
+                        for (acc, v) in node_comps.iter_mut().zip(comps) {
+                            *acc += v * c.count;
                         }
-                        if let Some(em) = &self.em {
-                            if let Some(hists) = &em.xray_comps[o.op.index()] {
-                                for (h, v) in hists.iter().zip(comps) {
-                                    h.observe(v.max(0.0), c.count);
-                                }
-                            }
-                        }
+                        c.xray.mark_pause = g.pause_mig_cum;
+                        c.xray.mark_fail = g.pause_fail_cum;
                     }
                 }
+                g.processed += n;
+                processed = n;
+                g.since_ckpt.push_all(cohorts.iter().copied());
+                if windowed {
+                    let w = spec.kind().window_s().expect("windowed op");
+                    for c in cohorts {
+                        g.absorb_into_window(c, w, sigma, xray, t1);
+                    }
+                } else {
+                    g.pending_out.push_all(scaled_iter(&cohorts, sigma));
+                }
             }
-            if let Some(xs) = self.xray.as_mut() {
-                xs.rec.charge_node(t1, o.op.0, node_comps);
+            // --- event-time window firing ---
+            // A tumbling window fires once the watermark (the latest
+            // event time seen) passes its end: its result carries the
+            // window's max event time — the paper's delay rule (§8.3).
+            // Straggler events for already-fired windows were emitted
+            // immediately by `absorb_into_window` (late-firing updates).
+            if windowed {
+                let w = spec.kind().window_s().expect("windowed op");
+                g.fire_ready_windows(w, sigma, xray, t1, &mut node_comps);
             }
-            for (key, share) in o.emissions {
-                self.edges
-                    .entry(key)
-                    .or_default()
-                    .push_all(scaled_iter(&o.emitted_cohorts, share));
+            // --- state bookkeeping ---
+            match spec.state() {
+                StateModel::Stateless => {}
+                StateModel::Fixed(_) => { /* fixed: set at deploy */ }
+                StateModel::Window { bytes_per_event } => {
+                    g.state_mb = g.window_events() * bytes_per_event / 1e6;
+                }
             }
         }
-        self.state_step(&per_op_processed);
-        (delivered_total, delay_sum)
+        // --- emission: pending_out → edge buffers / sink ---
+        let downstream = self.plan.downstream(op);
+        let pending_len = g.pending_out.len_events();
+        let emit_n = if pending_len <= 0.0 {
+            0.0
+        } else if is_sink {
+            pending_len
+        } else {
+            // Limited by the fullest outgoing buffer. Only this group
+            // ever writes those buffers (the key carries `(op, site)`
+            // as its source), so they still hold their pre-tick value.
+            let mut limit = f64::INFINITY;
+            if !is_source {
+                for &d in downstream {
+                    let placement = self.physical.placement(d);
+                    for (sd, _) in placement.iter() {
+                        let share = placement.share(sd);
+                        if share <= 0.0 {
+                            continue;
+                        }
+                        let key = EdgeKey {
+                            from_op: op,
+                            from_site: site,
+                            to_op: d,
+                            to_site: sd,
+                        };
+                        let used = self.edges.get(&key).map(|q| q.len_events()).unwrap_or(0.0);
+                        let free = (self.cfg.edge_buffer_events - used).max(0.0);
+                        limit = limit.min(free / share);
+                    }
+                }
+            }
+            pending_len.min(limit)
+        };
+        let mut emitted = Vec::new();
+        if emit_n > 0.0 {
+            emitted = g.pending_out.take(emit_n);
+            if xray {
+                // Sources charge their generation tick as service;
+                // everyone else waited here only because a downstream
+                // buffer was full.
+                let sdt = if is_source { dt } else { 0.0 };
+                for c in &mut emitted {
+                    let comps = close_pending_interval(c, t1, sdt);
+                    for (acc, v) in node_comps.iter_mut().zip(comps) {
+                        *acc += v * c.count;
+                    }
+                }
+            }
+            g.emitted += emit_n;
+            if emit_n < pending_len && !g.backpressured {
+                g.backpressured = true;
+                backpressure = true;
+            }
+        }
+        self.groups.insert((op, site), g);
+        // --- apply the group's effects ---
+        if let Some(p) = sums.per_op_processed.get_mut(op.index()) {
+            *p += processed;
+        }
+        if let Some(em) = &self.em {
+            if backpressure {
+                em.backpressure[op.index()].inc();
+            }
+            if processed > 0.0 {
+                em.processed[op.index()].add(processed);
+            }
+            if emit_n > 0.0 {
+                em.emitted[op.index()].add(emit_n);
+            }
+        }
+        if is_sink {
+            let em = self.em.as_ref();
+            let sink_hist = em.and_then(|em| em.delivery[op.index()].as_ref());
+            let comp_hists = em.and_then(|em| em.xray_comps[op.index()].as_ref());
+            for c in &emitted {
+                let d = c.delay_at(SimTime(t1));
+                sums.delivered += c.count;
+                sums.delay_sum += d * c.count;
+                self.metrics.record_delivery(d, c.count);
+                if let Some(h) = sink_hist {
+                    h.observe(d, c.count);
+                }
+                if let Some(xs) = self.xray.as_mut() {
+                    // Close any still-unattributed residual (e.g.
+                    // sink-side buffering) so components sum to the
+                    // exact recorded delay.
+                    let residual = (t1 - c.xray.attributed_until).max(0.0);
+                    let mut comps = c.xray.components();
+                    comps[Component::Backpressure as usize] += residual;
+                    node_comps[Component::Backpressure as usize] += residual * c.count;
+                    xs.rec.observe_delivery(t1, op.0, d, comps, c.count);
+                    if let Some(hists) = comp_hists {
+                        for (h, v) in hists.iter().zip(comps) {
+                            h.observe(v.max(0.0), c.count);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(xs) = self.xray.as_mut() {
+            xs.rec.charge_node(t1, op.0, node_comps);
+        }
+        if emit_n > 0.0 && !is_sink {
+            // Each edge receives the emitted cohorts scaled by its
+            // share, in (downstream op, placement site) order.
+            for &d in downstream {
+                let placement = self.physical.placement(d);
+                for (sd, _) in placement.iter() {
+                    let key = EdgeKey {
+                        from_op: op,
+                        from_site: site,
+                        to_op: d,
+                        to_site: sd,
+                    };
+                    self.edges
+                        .entry(key)
+                        .or_default()
+                        .push_all(scaled_iter(&emitted, placement.share(sd)));
+                }
+            }
+        }
     }
 
     /// Post-tick partitioned-state accounting: re-syncs each store's
@@ -4419,21 +4309,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_step_is_bit_identical_to_sequential() {
-        // The full recording — every tick row, the delay histogram,
-        // totals — must serialize byte-for-byte identically for any
-        // worker count, under network dynamics and failures.
-        let run = |jobs: usize| {
-            let (net, edge, dc) = world(6.0);
-            let plan = linear_plan(edge, 5000.0, 5.0);
-            let mut eng = engine_for(net, DynamicsScript::section_8_4(), plan, dc);
-            eng.set_parallelism(jobs);
-            eng.run(400.0);
-            serde_json::to_string(eng.metrics()).unwrap()
-        };
-        let seq = run(1);
-        for jobs in [2, 8] {
-            assert_eq!(run(jobs), seq, "jobs={jobs} diverged from sequential");
+    fn new_rejects_non_positive_or_non_finite_dt() {
+        for dt in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let (net, edge, dc) = world(10.0);
+            let plan = linear_plan(edge, 100.0, 5.0);
+            let physical = PhysicalPlan::initial(&plan, dc);
+            let cfg = EngineConfig {
+                dt,
+                ..EngineConfig::default()
+            };
+            let err = Engine::new(net, DynamicsScript::none(), plan, physical, cfg)
+                .expect_err("a tick that never advances time must be rejected");
+            assert!(matches!(err, EngineError::InvalidDt(_)), "dt={dt}: {err}");
         }
     }
 

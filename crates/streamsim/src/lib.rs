@@ -19,8 +19,8 @@
 //!   operator and plan semantics;
 //! * [`exact_engine`] — record-level execution of whole plans (e.g.
 //!   proving that re-planned queries produce identical results);
-//! * [`testkit`] — canonical-JSON bit-identity assertions shared by
-//!   the sequential↔parallel differential suites.
+//! * [`testkit`] — canonical-JSON bit-identity assertions and FNV-1a
+//!   digests shared by the differential and golden suites.
 //!
 //! # Example
 //!

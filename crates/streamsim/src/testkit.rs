@@ -1,12 +1,13 @@
 //! # testkit — shared helpers for differential testing
 //!
-//! The parallel runtime's contract is *bit-identity*: any run — any
-//! thread count, any repetition — must produce byte-for-byte the same
-//! recording as the sequential reference. This module gives the
-//! differential suites one canonical way to state that: serialize both
-//! sides to canonical JSON ([`canonical_json`]) and compare with
+//! The engine's contract is *bit-identity*: any repetition of a run
+//! must produce byte-for-byte the same recording, on every build that
+//! is meant to keep behaviour. This module gives the differential
+//! suites one canonical way to state that: serialize both sides to
+//! canonical JSON ([`canonical_json`]) and compare with
 //! [`assert_identical`], which reports the first diverging line
-//! instead of dumping two multi-megabyte blobs.
+//! instead of dumping two multi-megabyte blobs, or pin a run across
+//! commits by its [`fnv1a`] digest.
 //!
 //! Everything in the engine's observable surface
 //! ([`crate::metrics::RunMetrics`],
@@ -27,6 +28,14 @@ use serde::Serialize;
 /// bug in the value's `Serialize` impl.
 pub fn canonical_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("serializable test value")
+}
+
+/// FNV-1a (64-bit) hash of a byte string: the digest golden tests pin
+/// whole-run outputs by.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Returns a human-readable description of the first point where the

@@ -1,18 +1,27 @@
-//! # Sequential ↔ parallel differential harness
+//! # Cross-commit differential harness
 //!
-//! The deterministic parallel runtime's contract: for **any** worker
-//! count, a run is *byte-for-byte* the run the sequential engine
-//! produces — same `RunMetrics` (every tick row, the full delay
-//! histogram, the annotation audit), same monitor snapshot stream,
-//! same controller decision log. This suite proves it three ways:
+//! A run is a pure function of its configuration: same `RunMetrics`
+//! (every tick row, the full delay histogram, the annotation audit),
+//! same monitor snapshot stream, same controller decision log. This
+//! suite pins that three ways:
 //!
-//! 1. every section-8 scenario (§8.4 both queries, §8.5, §8.6) run at
-//!    1 / 2 / 8 threads under its real controller, comparing canonical
-//!    JSON of the recording and the telemetry decision audit;
+//! 1. every section-8 scenario (§8.4 both queries, §8.5, §8.6) under
+//!    its real controller, plus the partitioned, skewed-split and
+//!    compaction state scenarios, against FNV-1a digests of the
+//!    canonical JSON of the recording, the telemetry decision audit
+//!    and (where one exists) the state timeline;
 //! 2. a 12-seed chaos sweep (crashes, flaps, blackouts, stragglers via
-//!    `ChaosInjector`) comparing recordings *and* snapshot streams;
+//!    `ChaosInjector`) against digests of the recordings *and*
+//!    snapshot streams;
 //! 3. a fluid-engine ↔ `exact_engine` regression pinning the
 //!    delay/throughput agreement on the three paper queries.
+//!
+//! The pinned digests were captured when the engine still ran its
+//! tick on 1, 2 or 8 threads and this suite proved all three
+//! byte-identical, so the ordered single-pass tick is held to the
+//! bytes every one of those thread counts produced. A change meant to
+//! keep behaviour leaves every constant unchanged; a change meant to
+//! alter results re-pins them and says why.
 
 use std::collections::BTreeMap;
 
@@ -26,34 +35,63 @@ use wasp_netsim::topology::TopologyBuilder;
 use wasp_netsim::units::{Mbps, Millis};
 use wasp_streamsim::exact::{top_k, Event};
 use wasp_streamsim::prelude::*;
-use wasp_streamsim::testkit::{assert_identical, canonical_json, first_divergence};
+use wasp_streamsim::testkit::{assert_identical, canonical_json, first_divergence, fnv1a};
 use wasp_workloads::prelude::*;
 use wasp_workloads::queries::TOPK_K;
 
-/// Parallel worker counts checked against the sequential reference.
-const THREADS: [usize; 2] = [2, 8];
+/// FNV-1a digest of a canonical byte string.
+fn digest(s: &str) -> u64 {
+    fnv1a(s.as_bytes())
+}
+
+/// Asserts a run's digests equal the pinned ones. Both sides print in
+/// hex, so a deliberate re-pin is a copy-paste.
+fn assert_pinned(name: &str, got: &[u64], pinned: &[u64]) {
+    assert_eq!(
+        got, pinned,
+        "{name}: digests {got:#x?} differ from the pinned {pinned:#x?}"
+    );
+}
 
 // ---------------------------------------------------------------------
-// 1. Section-8 scenarios: bit-identical recordings + decision audits.
+// 1. Section-8 scenarios: pinned recordings + decision audits.
 // ---------------------------------------------------------------------
 
-/// Runs one scenario at the given engine parallelism with recording
-/// telemetry, returning (canonical recording JSON, decision-audit
-/// JSONL).
-fn scenario_digest(
-    run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
-    jobs: usize,
-) -> (String, String) {
+type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
+
+/// The four §8 scenarios, each under the WASP controller.
+fn section_8_scenarios() -> Vec<(&'static str, ScenarioRun)> {
+    vec![
+        (
+            "section_8_4/topk",
+            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
+        ),
+        (
+            "section_8_4/advertising",
+            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
+        ),
+        (
+            "section_8_5/topk",
+            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
+        ),
+        (
+            "section_8_6/live",
+            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
+        ),
+    ]
+}
+
+/// Runs one scenario with recording telemetry, returning (canonical
+/// recording JSON, decision-audit JSONL).
+fn scenario_digest(run: &dyn Fn(&ScenarioConfig) -> ExperimentResult) -> (String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
-        // Coarse tick: the bit-identity contract is dt-independent,
-        // and 2 s keeps twelve full paper-testbed runs affordable in
-        // debug-mode CI.
+        // Coarse tick: 2 s keeps a dozen full paper-testbed runs
+        // affordable in debug-mode CI.
         dt: 2.0,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let result = run(&cfg);
@@ -63,59 +101,37 @@ fn scenario_digest(
     )
 }
 
+/// (RunMetrics, decision audit) digests per §8 scenario, in
+/// [`section_8_scenarios`] order.
+const SECTION_8_DIGESTS: [[u64; 2]; 4] = [
+    [0x40f5_99a7_ea5f_707d, 0xf52f_f26e_9b26_d5b4],
+    [0x11d9_132b_0604_7e09, 0x47bd_644e_742f_76bb],
+    [0x2cc8_2a23_233e_2387, 0xb13f_a00e_43ac_db20],
+    [0x3d93_9197_51af_6821, 0xdc11_e990_ffbc_4714],
+];
+
 #[test]
 fn section_8_scenarios_bit_identical_across_thread_counts() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
-    for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_digest(run.as_ref(), 1);
+    for ((name, run), pinned) in section_8_scenarios().iter().zip(SECTION_8_DIGESTS) {
+        let (metrics, audit) = scenario_digest(run.as_ref());
         assert!(
-            !audit_ref.is_empty(),
+            !audit.is_empty(),
             "{name}: the decision audit must actually record decisions"
         );
-        for jobs in THREADS {
-            let (metrics, audit) = scenario_digest(run.as_ref(), jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("{name} (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&audit_ref, &audit) {
-                panic!("{name} (jobs={jobs}): decision audit diverged — {diff}");
-            }
-        }
+        assert_pinned(name, &[digest(&metrics), digest(&audit)], &pinned);
     }
 }
 
 // ---------------------------------------------------------------------
-// 1b. X-ray attribution: conservation + bit-identity across threads.
+// 1b. X-ray attribution: conservation + pinned snapshots.
 // ---------------------------------------------------------------------
 
 /// Runs one scenario with latency attribution on, returning the
 /// canonical JSON of the [`wasp_xray::XrayRun`] snapshot.
-fn xray_digest(
-    run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
-    jobs: usize,
-) -> (String, wasp_xray::XrayRun) {
+fn xray_digest(run: &dyn Fn(&ScenarioConfig) -> ExperimentResult) -> (String, wasp_xray::XrayRun) {
     let cfg = ScenarioConfig {
         seed: 4,
         dt: 2.0,
-        jobs,
         xray: Some(XRAY_DEFAULT_WINDOW_S),
         ..ScenarioConfig::default()
     };
@@ -124,38 +140,27 @@ fn xray_digest(
     (canonical_json(&x), x)
 }
 
-/// The tentpole invariants, over every §8 scenario:
+/// XrayRun snapshot digest per §8 scenario, in
+/// [`section_8_scenarios`] order.
+const XRAY_DIGESTS: [u64; 4] = [
+    0xb25e_5b2f_2994_4293,
+    0x135a_b762_bd99_f58e,
+    0x98b2_1fc7_8dcc_2352,
+    0xd52a_a40c_27e8_adfb,
+];
+
+/// The attribution invariants, over every §8 scenario:
 ///
 /// 1. *Conservation* — per (window, sink) cell, the six component
 ///    histograms sum to the end-to-end delay histogram's sum within
 ///    1e-6 relative error. The ledger never invents or loses time.
 /// 2. *Determinism* — the full attribution snapshot (delivery-view
 ///    histograms, flow-view node/edge charges, WAN-link ledger,
-///    adaptation lags) serializes byte-identically at engine
-///    parallelism 1, 2, and 8.
+///    adaptation lags) serializes to the pinned bytes.
 #[test]
 fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
-    for (name, run) in &scenarios {
-        let (digest_ref, x) = xray_digest(run.as_ref(), 1);
+    for ((name, run), pinned) in section_8_scenarios().iter().zip(XRAY_DIGESTS) {
+        let (json, x) = xray_digest(run.as_ref());
         assert!(
             x.windows.iter().any(|w| !w.sinks.is_empty()),
             "{name}: attribution must record deliveries"
@@ -165,12 +170,7 @@ fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
             err <= 1e-6,
             "{name}: conservation violated — components sum off by {err:.3e}"
         );
-        for jobs in THREADS {
-            let (digest, _) = xray_digest(run.as_ref(), jobs);
-            if let Some(diff) = first_divergence(&digest_ref, &digest) {
-                panic!("{name} (jobs={jobs}): attribution diverged — {diff}");
-            }
-        }
+        assert_pinned(name, &[digest(&json)], &[pinned]);
     }
 }
 
@@ -179,7 +179,6 @@ fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
 fn scenario_state_digest(
     run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
     state: wasp_state::StateModel,
-    jobs: usize,
 ) -> (String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
@@ -187,7 +186,6 @@ fn scenario_state_digest(
         dt: 2.0,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         state,
         ..ScenarioConfig::default()
     };
@@ -199,51 +197,46 @@ fn scenario_state_digest(
 }
 
 /// Runs the §8.4 top-k scenario with an explicit keyed-state model.
-fn state_model_digest(state: wasp_state::StateModel, jobs: usize) -> (String, String) {
+fn state_model_digest(state: wasp_state::StateModel) -> (String, String) {
     scenario_state_digest(
         &|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg),
         state,
-        jobs,
     )
 }
 
 /// The mode switch's contract: `StateModel::Coarse` — the default —
 /// is not merely *similar* to the pre-subsystem engine, it is the
 /// byte-identical legacy path. An explicitly-spelled `Coarse` run must
-/// reproduce the default-config recording and decision audit exactly,
-/// at every worker count.
+/// reproduce the default-config recording and decision audit exactly.
 #[test]
 fn explicit_coarse_state_model_is_byte_identical_to_default() {
     let run: &dyn Fn(&ScenarioConfig) -> ExperimentResult =
         &|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg);
-    let (metrics_ref, audit_ref) = scenario_digest(run, 1);
-    for jobs in [1, 2, 8] {
-        let (metrics, audit) = state_model_digest(wasp_state::StateModel::Coarse, jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("explicit Coarse (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("explicit Coarse (jobs={jobs}): decision audit diverged — {diff}");
-        }
+    let (metrics_ref, audit_ref) = scenario_digest(run);
+    let (metrics, audit) = state_model_digest(wasp_state::StateModel::Coarse);
+    if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
+        panic!("explicit Coarse: RunMetrics diverged — {diff}");
+    }
+    if let Some(diff) = first_divergence(&audit_ref, &audit) {
+        panic!("explicit Coarse: decision audit diverged — {diff}");
     }
 }
 
-/// The partitioned model's new per-tick work (sampled writes, delta
-/// checkpoints, slice flights) lives inside the deterministic reduce,
-/// so partitioned runs are also bit-identical at any worker count.
+/// (RunMetrics, decision audit) digests of the flat-partitioned §8.4
+/// top-k run.
+const PARTITIONED_DIGESTS: [u64; 2] = [0xe32b_a6f6_e0e4_8328, 0x7179_a762_5a1a_9d7b];
+
+/// The partitioned model's per-tick work (sampled writes, delta
+/// checkpoints, slice flights) is pinned like everything else.
 #[test]
 fn partitioned_state_runs_bit_identical_across_thread_counts() {
     let part = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
-    let (metrics_ref, audit_ref) = state_model_digest(part, 1);
-    for jobs in THREADS {
-        let (metrics, audit) = state_model_digest(part, jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("partitioned (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("partitioned (jobs={jobs}): decision audit diverged — {diff}");
-        }
-    }
+    let (metrics, audit) = state_model_digest(part);
+    assert_pinned(
+        "partitioned",
+        &[digest(&metrics), digest(&audit)],
+        &PARTITIONED_DIGESTS,
+    );
 }
 
 /// Runs the skewed-state experiment with runtime key-range splitting
@@ -251,7 +244,7 @@ fn partitioned_state_runs_bit_identical_across_thread_counts() {
 /// digest). The timeline types deliberately don't serialize, so the
 /// third digest is their `Debug` form — still a full-precision,
 /// deterministic byte string.
-fn skewed_split_digest(jobs: usize) -> (String, String, String) {
+fn skewed_split_digest() -> (String, String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
@@ -261,7 +254,6 @@ fn skewed_split_digest(jobs: usize) -> (String, String, String) {
         dt: 0.5,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let r = run_skewed_split_experiment(60.0, &cfg);
@@ -272,150 +264,107 @@ fn skewed_split_digest(jobs: usize) -> (String, String, String) {
     )
 }
 
-/// The new split machinery rewrites partition weights mid-flight, so it
-/// must live inside the deterministic reduce like everything else: the
+/// (RunMetrics, decision audit, state timeline) digests of the
+/// skewed-split scenario.
+const SKEWED_SPLIT_DIGESTS: [u64; 3] = [
+    0xd219_2d17_4ffe_ef9a,
+    0xe24f_ea21_cbd3_87c4,
+    0xb8c1_d583_b243_16ca,
+];
+
+/// The split machinery rewrites partition weights mid-flight: the
 /// skewed-split scenario — splits firing, lineage-carrying slice
-/// flights, split telemetry — is byte-identical at engine parallelism
-/// 1, 2 and 8.
+/// flights, split telemetry — reproduces its pinned bytes.
 #[test]
 fn skewed_split_scenario_bit_identical_across_thread_counts() {
-    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest(1);
+    let (metrics, audit, timeline) = skewed_split_digest();
     assert!(
-        audit_ref.contains("PartitionSplit"),
+        audit.contains("PartitionSplit"),
         "the skewed-split scenario must actually split"
     );
-    for jobs in THREADS {
-        let (metrics, audit, timeline) = skewed_split_digest(jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("skewed-split (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("skewed-split (jobs={jobs}): decision audit diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
-            panic!("skewed-split (jobs={jobs}): state timeline diverged — {diff}");
-        }
-    }
+    assert_pinned(
+        "skewed-split",
+        &[digest(&metrics), digest(&audit), digest(&timeline)],
+        &SKEWED_SPLIT_DIGESTS,
+    );
 }
 
-/// `split_threshold = None` (the default) pins the PR 8 flat-partitioned
-/// path: every §8 scenario runs byte-identically at jobs 1/2/8 with the
-/// split machinery compiled in but disabled, and no `PartitionSplit`
-/// event may appear anywhere in the audit.
+/// (RunMetrics, decision audit) digests per flat-partitioned §8
+/// scenario, in [`section_8_scenarios`] order.
+const FLAT_PARTITIONED_DIGESTS: [[u64; 2]; 4] = [
+    [0xe32b_a6f6_e0e4_8328, 0x7179_a762_5a1a_9d7b],
+    [0x11d9_132b_0604_7e09, 0x15a9_fc46_834b_2023],
+    [0xcfa3_2faf_d16b_1b47, 0x5360_74a3_04f5_aa52],
+    [0x6ffc_a951_8723_a25f, 0x9c42_500e_7e3a_e903],
+];
+
+/// `split_threshold = None` (the default) pins the flat-partitioned
+/// path: with the split machinery compiled in but disabled, every §8
+/// scenario reproduces its pinned bytes and no `PartitionSplit` event
+/// may appear anywhere in the audit.
 #[test]
 fn disabled_splitting_leaves_every_section_8_scenario_untouched() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
     let flat = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
-    for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), flat, 1);
+    for ((name, run), pinned) in section_8_scenarios().iter().zip(FLAT_PARTITIONED_DIGESTS) {
+        let (metrics, audit) = scenario_state_digest(run.as_ref(), flat);
         assert!(
-            !audit_ref.contains("PartitionSplit"),
+            !audit.contains("PartitionSplit"),
             "{name}: split_threshold=None must never split"
         );
-        for jobs in THREADS {
-            let (metrics, audit) = scenario_state_digest(run.as_ref(), flat, jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("{name} flat-partitioned (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&audit_ref, &audit) {
-                panic!("{name} flat-partitioned (jobs={jobs}): decision audit diverged — {diff}");
-            }
-        }
+        assert_pinned(name, &[digest(&metrics), digest(&audit)], &pinned);
     }
 }
 
-/// `CompactionPolicy::None` (the default) pins the PR 9 partitioned
-/// path with the delta-chain machinery compiled in but disabled: for
-/// every §8 scenario *and* the skewed-split scenario, a config
-/// spelling the policy out explicitly is byte-identical to the default
-/// config at jobs 1/2/8, and no chain event (compaction, recovery
-/// replay) may appear anywhere in the audit.
+/// `CompactionPolicy::None` (the default) pins the partitioned path
+/// with the delta-chain machinery compiled in but disabled: for every
+/// §8 scenario *and* the skewed-split scenario, a config spelling the
+/// policy out explicitly is byte-identical to the default config, and
+/// no chain event (compaction, recovery replay) may appear anywhere in
+/// the audit.
 #[test]
 fn disabled_compaction_leaves_every_scenario_untouched() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
     let default_cfg = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
     let explicit_none = wasp_state::StateModel::Partitioned(
         wasp_state::PartitionConfig::with_compaction(wasp_state::CompactionPolicy::None),
     );
-    for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), default_cfg, 1);
+    for (name, run) in &section_8_scenarios() {
+        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), default_cfg);
         assert!(
             !audit_ref.contains("CheckpointCompaction") && !audit_ref.contains("RecoveryReplay"),
             "{name}: CompactionPolicy::None must never emit chain events"
         );
-        for jobs in [1, 2, 8] {
-            let (metrics, audit) = scenario_state_digest(run.as_ref(), explicit_none, jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("{name} compaction-off (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&audit_ref, &audit) {
-                panic!("{name} compaction-off (jobs={jobs}): decision audit diverged — {diff}");
-            }
+        let (metrics, audit) = scenario_state_digest(run.as_ref(), explicit_none);
+        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
+            panic!("{name} compaction-off: RunMetrics diverged — {diff}");
+        }
+        if let Some(diff) = first_divergence(&audit_ref, &audit) {
+            panic!("{name} compaction-off: decision audit diverged — {diff}");
         }
     }
     // The skewed-split scenario too: splitting plus an explicit
     // disabled policy reproduces the plain skewed-split digests.
-    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest(1);
-    for jobs in [1, 2, 8] {
-        let (metrics, audit, timeline) = skewed_split_none_digest(jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("skewed-split compaction-off (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("skewed-split compaction-off (jobs={jobs}): decision audit diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
-            panic!("skewed-split compaction-off (jobs={jobs}): state timeline diverged — {diff}");
-        }
+    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest();
+    let (metrics, audit, timeline) = skewed_split_none_digest();
+    if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
+        panic!("skewed-split compaction-off: RunMetrics diverged — {diff}");
+    }
+    if let Some(diff) = first_divergence(&audit_ref, &audit) {
+        panic!("skewed-split compaction-off: decision audit diverged — {diff}");
+    }
+    if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
+        panic!("skewed-split compaction-off: state timeline diverged — {diff}");
     }
 }
 
 /// [`skewed_split_digest`] with the compaction policy spelled out as
 /// `None` next to the split threshold.
-fn skewed_split_none_digest(jobs: usize) -> (String, String, String) {
+fn skewed_split_none_digest() -> (String, String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
         dt: 0.5,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let state = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig {
@@ -434,14 +383,13 @@ fn skewed_split_none_digest(jobs: usize) -> (String, String, String) {
 /// Runs the compaction scenario (delta chains, full-snapshot bursts,
 /// scripted failures, recovery replays) and returns (metrics JSON,
 /// audit JSONL, state-timeline digest).
-fn compaction_scenario_digest(jobs: usize) -> (String, String, String) {
+fn compaction_scenario_digest() -> (String, String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
         dt: 0.5,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let r = run_compaction_experiment(
@@ -456,34 +404,34 @@ fn compaction_scenario_digest(jobs: usize) -> (String, String, String) {
     )
 }
 
-/// The chain machinery's own determinism pin: the compaction scenario
-/// — chains recorded every round, full-snapshot flights contending on
-/// the WAN, three scripted failures replaying the chain — is
-/// byte-identical at engine parallelism 1, 2 and 8, including the full
-/// compaction/replay timeline.
+/// (RunMetrics, decision audit, state timeline) digests of the
+/// compaction scenario.
+const COMPACTION_DIGESTS: [u64; 3] = [
+    0x5c3f_be14_c768_02f7,
+    0x6bb3_5874_4933_7519,
+    0x3dfc_8df6_8991_369f,
+];
+
+/// The chain machinery's own pin: the compaction scenario — chains
+/// recorded every round, full-snapshot flights contending on the WAN,
+/// three scripted failures replaying the chain — reproduces its
+/// pinned bytes, including the full compaction/replay timeline.
 #[test]
 fn compaction_scenario_bit_identical_across_thread_counts() {
-    let (metrics_ref, audit_ref, timeline_ref) = compaction_scenario_digest(1);
+    let (metrics, audit, timeline) = compaction_scenario_digest();
     assert!(
-        audit_ref.contains("CheckpointCompaction"),
+        audit.contains("CheckpointCompaction"),
         "the compaction scenario must actually compact"
     );
     assert!(
-        audit_ref.contains("RecoveryReplay"),
+        audit.contains("RecoveryReplay"),
         "the compaction scenario must actually replay on failure"
     );
-    for jobs in THREADS {
-        let (metrics, audit, timeline) = compaction_scenario_digest(jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("compaction (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("compaction (jobs={jobs}): decision audit diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
-            panic!("compaction (jobs={jobs}): state timeline diverged — {diff}");
-        }
-    }
+    assert_pinned(
+        "compaction",
+        &[digest(&metrics), digest(&audit), digest(&timeline)],
+        &COMPACTION_DIGESTS,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -504,7 +452,7 @@ fn chaos_world() -> (Network, SiteId, SiteId, SiteId) {
 
 /// src(edge) → window-aggregate → sink(dc1), under a seeded fault
 /// campaign; returns (recording JSON, snapshot-stream JSON).
-fn chaos_digest(seed: u64, jobs: usize) -> (String, String) {
+fn chaos_digest(seed: u64) -> (String, String) {
     let (net, edge, dc1, dc2) = chaos_world();
     let mut p = LogicalPlanBuilder::new("chaos");
     let s = p.add(OperatorSpec::new(
@@ -539,7 +487,6 @@ fn chaos_digest(seed: u64, jobs: usize) -> (String, String) {
         ..EngineConfig::default()
     };
     let mut eng = Engine::new(net, script, plan, physical, cfg).unwrap();
-    eng.set_parallelism(jobs);
     // Drive the monitor loop by hand so the snapshot-event stream
     // itself is part of the comparison.
     let mut snaps = Vec::new();
@@ -550,19 +497,31 @@ fn chaos_digest(seed: u64, jobs: usize) -> (String, String) {
     (canonical_json(eng.metrics()), canonical_json(&snaps))
 }
 
+/// (RunMetrics, snapshot stream) digests per chaos seed 0..12.
+const CHAOS_DIGESTS: [[u64; 2]; 12] = [
+    [0xd5d0_29a3_f00f_491d, 0x94be_f009_e825_85ad],
+    [0x99b6_2ccc_0024_8d6c, 0x9311_b73a_9f97_a44a],
+    [0x0a0a_6e57_96ad_6da8, 0x7214_d180_64af_db48],
+    [0x2619_1c0f_b199_2277, 0x2d07_509c_e9d1_eb6b],
+    [0x4335_84f4_30b0_fc99, 0x9834_ea3f_5dd3_aa27],
+    [0x16ff_995b_cacb_9083, 0x4403_2b67_1d6c_6fd1],
+    [0x1507_a159_2a18_5d0f, 0x1ec2_b657_b87a_1606],
+    [0x80d7_efcf_ed32_d57a, 0x2294_ea54_8882_8dbc],
+    [0x473e_7780_71d2_bb87, 0x814f_8d2f_f3f5_c27b],
+    [0x5c83_87fd_a561_2370, 0x62ee_8f0b_45cc_7536],
+    [0x461a_4d0f_1820_0005, 0x0084_e718_cfbe_545a],
+    [0x82fa_5457_c350_2d3c, 0x6e67_46d9_5685_8fa5],
+];
+
 #[test]
 fn chaos_campaigns_bit_identical_across_thread_counts() {
-    for seed in 0..12u64 {
-        let (metrics_ref, snaps_ref) = chaos_digest(seed, 1);
-        for jobs in THREADS {
-            let (metrics, snaps) = chaos_digest(seed, jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("chaos seed {seed} (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&snaps_ref, &snaps) {
-                panic!("chaos seed {seed} (jobs={jobs}): snapshot stream diverged — {diff}");
-            }
-        }
+    for (seed, pinned) in (0..12u64).zip(CHAOS_DIGESTS) {
+        let (metrics, snaps) = chaos_digest(seed);
+        assert_pinned(
+            &format!("chaos seed {seed}"),
+            &[digest(&metrics), digest(&snaps)],
+            &pinned,
+        );
     }
 }
 
@@ -570,9 +529,9 @@ fn chaos_campaigns_bit_identical_across_thread_counts() {
 /// telemetry and metrics state are per-run, never process-global).
 #[test]
 fn chaos_campaign_double_run_is_bit_stable() {
-    let a = chaos_digest(7, 8);
-    let b = chaos_digest(7, 8);
-    assert_eq!(a, b, "same seed, same jobs → same bytes");
+    let a = chaos_digest(7);
+    let b = chaos_digest(7);
+    assert_eq!(a, b, "same seed → same bytes");
 }
 
 // ---------------------------------------------------------------------
@@ -781,9 +740,9 @@ fn events_of_interest_agrees_with_exact_engine() {
 }
 
 // ---------------------------------------------------------------------
-// Exact engine under parallel scenario shells: the record-level engine
-// is orthogonal to the parallel runtime, but the harness pins that
-// running it alongside parallel fluid runs perturbs nothing.
+// Exact engine next to fluid runs: the record-level engine shares no
+// state with the fluid engine, and the harness pins that running a
+// fluid run in between perturbs nothing.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -801,7 +760,7 @@ fn parallel_fluid_runs_do_not_perturb_exact_results() {
         streams.insert(src, evs);
     }
     let before = canonical_json(&ExactEngine::new(&plan).execute(&streams));
-    // Interleave a parallel fluid run…
+    // Interleave a fluid run…
     let (net2, edges2, dc2) = ample_world(2);
     let sources2: Vec<(SiteId, f64)> = edges2.iter().map(|&e| (e, 500.0)).collect();
     let plan2 = events_of_interest(&sources2, dc2);
@@ -814,7 +773,6 @@ fn parallel_fluid_runs_do_not_perturb_exact_results() {
         EngineConfig::default(),
     )
     .unwrap();
-    eng.set_parallelism(8);
     eng.run(120.0);
     // …and the record-level result is unchanged.
     let after = canonical_json(&ExactEngine::new(&plan).execute(&streams));

@@ -145,10 +145,10 @@ pub struct ScenarioConfig {
     /// histograms, link gauges) and the controller (derived SLO
     /// gauges). Disabled by default, like telemetry.
     pub metrics: MetricsHub,
-    /// Worker threads for the engine's per-tick compute phase.
-    /// Results are bit-identical for every value (see
-    /// `Engine::set_parallelism`). Defaults to `WASP_JOBS` /
-    /// `RAYON_NUM_THREADS` when set, else 1.
+    /// Has no effect: the engine runs each tick as one ordered pass on
+    /// the calling thread. Kept (default 1) only so existing struct
+    /// literals that name it still compile; the next change to the
+    /// benchmark package removes it.
     pub jobs: usize,
     /// Control-plane mode. `Oracle` (the default) keeps the classic
     /// instant, reliable command path; `Lossy` routes heartbeats and
@@ -189,7 +189,7 @@ impl Default for ScenarioConfig {
             slo_s: 10.0,
             telemetry: Telemetry::disabled(),
             metrics: MetricsHub::disabled(),
-            jobs: wasp_parallel::env_jobs().unwrap_or(1),
+            jobs: 1,
             control: ControlPlaneConfig::Oracle,
             state: wasp_state::StateModel::Coarse,
             xray: None,
@@ -267,7 +267,6 @@ fn run_scenario(
 ) -> ExperimentResult {
     let tb = Testbed::paper(cfg.seed);
     let (mut engine, e2e) = build_engine(kind, &tb, script, engine_config(cfg, controller));
-    engine.set_parallelism(cfg.jobs);
     let tel = cfg.telemetry.clone();
     engine.set_telemetry(tel.clone());
     if let Some(w) = cfg.xray {
@@ -433,7 +432,6 @@ pub fn run_custom(run: CustomRun, cfg: &ScenarioConfig) -> (ExperimentResult, f6
         ..EngineConfig::default()
     };
     let (mut engine, e2e) = build_engine(run.kind, &tb, run.script, engine_cfg);
-    engine.set_parallelism(cfg.jobs);
     engine.set_telemetry(cfg.telemetry.clone());
     if let Some(w) = cfg.xray {
         engine.enable_xray(w);
@@ -757,7 +755,6 @@ pub fn run_skewed_state_experiment(
     };
     let mut engine = Engine::new(net, DynamicsScript::none(), plan, physical, engine_cfg)
         .expect("validated deployment");
-    engine.set_parallelism(cfg.jobs);
     engine.set_telemetry(cfg.telemetry.clone());
     if let Some(w) = cfg.xray {
         engine.enable_xray(w);
@@ -846,8 +843,10 @@ pub struct CompactionRunResult {
 /// adaptation runs, so every failure hits the same host and recovery
 /// replays the chain as it stood at that moment:
 ///
-/// * under [`CompactionPolicy::unbounded`] the chain grows for the
-///   whole run, so each successive failure replays strictly more;
+/// * under
+///   [`CompactionPolicy::unbounded`](wasp_state::CompactionPolicy::unbounded)
+///   the chain grows for the whole run, so each successive failure
+///   replays strictly more;
 /// * under a bounded policy (e.g. every
 ///   [`COMPACTION_EVERY_N_ROUNDS`] rounds) the chain is periodically
 ///   folded into a full snapshot — recovery replays at most the base
@@ -898,7 +897,6 @@ pub fn run_compaction_experiment(
     };
     let mut engine =
         Engine::new(net, script, plan, physical, engine_cfg).expect("validated deployment");
-    engine.set_parallelism(cfg.jobs);
     engine.set_telemetry(cfg.telemetry.clone());
     if let Some(w) = cfg.xray {
         engine.enable_xray(w);

@@ -14,7 +14,8 @@
 //! the components are folded into per-sink per-window
 //! [`LogHistogram`](wasp_metrics::LogHistogram) families by the
 //! [`XrayRecorder`]. Aggregates merge shard-wise exactly like the
-//! delay histogram, so attribution is byte-identical at any `--jobs`.
+//! delay histogram, and the engine feeds them in the fixed order of
+//! its tick pass, so attribution is byte-identical run to run.
 //!
 //! ## Conservation invariant
 //!
@@ -93,8 +94,8 @@ impl Component {
 ///
 /// Components are stored as named fields (not `[f64; 6]`) because the
 /// ledger is embedded in serialized engine state and the sanctioned
-/// `serde` build has no fixed-size-array impls; [`components`]
-/// (DelayLedger::components) provides the indexed view.
+/// `serde` build has no fixed-size-array impls;
+/// [`components`](DelayLedger::components) provides the indexed view.
 ///
 /// `mark_pause` / `mark_fail` snapshot the owning group's cumulative
 /// pause counters at enqueue time, so the dequeue stamp can split the

@@ -30,8 +30,8 @@ use crate::Component;
 /// reporting windows of `window_s`; every underlying container is a
 /// `BTreeMap`, so iteration (and therefore the snapshot) is
 /// deterministic regardless of observation interleaving — the engine
-/// additionally guarantees observations arrive in its sequential
-/// reduce order, making the snapshot byte-identical at any `--jobs`.
+/// additionally feeds observations in the fixed order of its tick
+/// pass, making the snapshot byte-identical run to run.
 #[derive(Debug, Clone)]
 pub struct XrayRecorder {
     window_s: f64,

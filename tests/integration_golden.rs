@@ -1,12 +1,12 @@
 //! Cross-commit golden digests: FNV-1a hashes of whole-run outputs,
 //! pinned as constants.
 //!
-//! The differential suites prove that a run is byte-identical across
-//! thread counts *within* one build. These digests prove it *across
-//! builds*: a change meant to keep behaviour (a leaner queue layout, a
-//! different allocator data structure) must leave every constant
-//! below unchanged. A change meant to alter results re-pins them and
-//! says why.
+//! Each engine tick is one ordered pass, so a run is a pure function
+//! of its configuration. These digests hold that *across builds*: a
+//! change meant to keep behaviour (a leaner queue layout, a different
+//! allocator data structure, a simpler tick loop) must leave every
+//! constant below unchanged. A change meant to alter results re-pins
+//! them and says why.
 
 use wasp_core::controller::{run_controlled, WaspController};
 use wasp_core::policy::PolicyConfig;
@@ -15,13 +15,8 @@ use wasp_netsim::dynamics::DynamicsScript;
 use wasp_netsim::site::SiteId;
 use wasp_netsim::testbed::{Testbed, TestbedConfig};
 use wasp_streamsim::engine::EngineConfig;
+use wasp_streamsim::testkit::fnv1a;
 use wasp_workloads::prelude::*;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn digest_json<T: serde::Serialize>(value: &T) -> u64 {
     fnv1a(serde_json::to_string(value).expect("serializes").as_bytes())
@@ -84,7 +79,6 @@ fn chaos_xray_run(seed: u64) -> [u64; 4] {
     let cfg = ScenarioConfig {
         seed,
         dt: 0.5,
-        jobs: 1,
         telemetry: tel,
         metrics: hub.clone(),
         xray: Some(XRAY_DEFAULT_WINDOW_S),
