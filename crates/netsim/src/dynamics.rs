@@ -200,6 +200,18 @@ impl DynamicsScript {
             .product()
     }
 
+    /// Per-source workload factor entries, in the order they were
+    /// added (the order [`DynamicsScript::workload_factor`] multiplies
+    /// a source's entries in).
+    pub fn workload_series(&self) -> &[(SiteId, FactorSeries)] {
+        &self.workload
+    }
+
+    /// Global workload factor series, if any.
+    pub fn global_workload_series(&self) -> Option<&FactorSeries> {
+        self.global_workload.as_ref()
+    }
+
     /// Workload factor for a source at time `t` (per-source × global).
     pub fn workload_factor(&self, source: SiteId, t: SimTime) -> f64 {
         let per = self

@@ -318,14 +318,22 @@ impl CohortQueue {
     /// Removes up to `n` events from the front, FIFO, splitting the
     /// boundary cohort as needed. Returns the removed cohorts.
     pub fn take(&mut self, n: f64) -> Vec<Cohort> {
-        let out = match &mut self.cohorts {
-            Cohorts::Lean(q) => take_front(q, &mut self.total, n),
-            Cohorts::Full(q) => take_front(q, &mut self.total, n),
-        };
+        let mut out = Vec::new();
+        self.take_into(n, &mut out);
+        out
+    }
+
+    /// [`CohortQueue::take`] that appends the removed cohorts to `out`
+    /// instead of returning a new vector, so a caller can reuse one
+    /// buffer for every take.
+    pub fn take_into(&mut self, n: f64, out: &mut Vec<Cohort>) {
+        match &mut self.cohorts {
+            Cohorts::Lean(q) => take_front(q, &mut self.total, n, out),
+            Cohorts::Full(q) => take_front(q, &mut self.total, n, out),
+        }
         if self.cohorts.len() == 0 {
             self.total = 0.0; // absorb float dust
         }
-        out
     }
 
     /// Removes *all* events; the emptied queue is lean again.
@@ -338,6 +346,18 @@ impl CohortQueue {
                 self.cohorts = Cohorts::default();
                 all
             }
+        }
+    }
+
+    /// Discards *all* events, leaving the queue as [`CohortQueue::new`]
+    /// would make it. A lean queue keeps its allocation for the next
+    /// pushes; a full queue goes back to lean, as after
+    /// [`CohortQueue::drain`].
+    pub fn clear(&mut self) {
+        self.total = 0.0;
+        match &mut self.cohorts {
+            Cohorts::Lean(q) => q.clear(),
+            Cohorts::Full(_) => self.cohorts = Cohorts::default(),
         }
     }
 
@@ -410,9 +430,8 @@ fn push_back<T: Slot>(q: &mut VecDeque<T>, c: T) -> bool {
     q.len() > MAX_COHORTS
 }
 
-fn take_front<T: Slot>(q: &mut VecDeque<T>, total: &mut f64, n: f64) -> Vec<Cohort> {
+fn take_front<T: Slot>(q: &mut VecDeque<T>, total: &mut f64, n: f64, out: &mut Vec<Cohort>) {
     let mut remaining = n.max(0.0);
-    let mut out = Vec::new();
     while remaining > 1e-12 {
         let Some(front) = q.front_mut() else {
             break;
@@ -432,7 +451,6 @@ fn take_front<T: Slot>(q: &mut VecDeque<T>, total: &mut f64, n: f64) -> Vec<Coho
             remaining = 0.0;
         }
     }
-    out
 }
 
 fn drop_late_front<T: Slot>(

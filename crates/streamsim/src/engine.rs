@@ -30,8 +30,9 @@ use crate::metrics::{FailureEvent, QuerySnapshot, RunMetrics, StageObs, TickRow}
 use crate::operator::{OperatorKind, StateModel};
 use crate::physical::{PhysicalError, PhysicalPlan, Placement};
 use crate::plan::LogicalPlan;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use wasp_controlplane::channel::{AckOutcome, CommandAck, CommandEnvelope, HeartbeatArrival};
 use wasp_controlplane::config::LossyControlConfig;
 use wasp_metrics::{Counter, Gauge, Histogram, MetricsHub};
@@ -236,12 +237,17 @@ impl Default for EngineConfig {
 /// site, which behave identically under balanced partitioning (§7).
 #[derive(Debug, Clone, Default)]
 struct Group {
+    op: OpId,
+    site: SiteId,
     tasks: u32,
+    /// This group's entries in `Engine::out_edges`. Set by
+    /// `Engine::rebuild_tables`.
+    out: Range<usize>,
     input: CohortQueue,
     pending_out: CohortQueue,
-    /// Event-time tumbling windows being assembled: window index →
-    /// (event count, latest event time, count-weighted latency sum).
-    window_buf: BTreeMap<i64, WinAgg>,
+    /// Event-time tumbling windows being assembled, in window-index
+    /// order: (window index, accumulator).
+    window_buf: VecDeque<(i64, WinAgg)>,
     /// Highest window index already fired; events for fired windows
     /// are stragglers and emit immediately (a late-firing update).
     fired_up_to: i64,
@@ -287,9 +293,11 @@ struct WinAgg {
 }
 
 impl Group {
-    /// A freshly instantiated group.
-    fn fresh(tasks: u32) -> Group {
+    /// A freshly instantiated group of `tasks` tasks of `op` at `site`.
+    fn fresh(op: OpId, site: SiteId, tasks: u32) -> Group {
         Group {
+            op,
+            site,
             tasks,
             fired_up_to: i64::MIN,
             max_birth_seen: f64::NEG_INFINITY,
@@ -299,7 +307,7 @@ impl Group {
 
     /// Events currently buffered across all open windows.
     fn window_events(&self) -> f64 {
-        self.window_buf.values().map(|a| a.count).sum()
+        self.window_buf.iter().map(|(_, a)| a.count).sum()
     }
 
     /// Adds one processed cohort to its event-time window, or emits it
@@ -318,7 +326,14 @@ impl Group {
                 xray: c.xray,
             });
         } else {
-            let agg = self.window_buf.entry(w).or_default();
+            let i = match self.window_buf.binary_search_by_key(&w, |&(k, _)| k) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.window_buf.insert(i, (w, WinAgg::default()));
+                    i
+                }
+            };
+            let agg = &mut self.window_buf[i].1;
             agg.count += c.count;
             agg.max_birth = agg.max_birth.max(c.birth.secs());
             agg.lat_sum += c.net_latency * c.count;
@@ -366,11 +381,11 @@ impl Group {
         t1: f64,
         node_acc: &mut [f64; 6],
     ) {
-        while let Some((&w, _)) = self.window_buf.iter().next() {
+        while let Some(&(w, _)) = self.window_buf.front() {
             if (w + 1) as f64 * window_s > self.max_birth_seen {
                 break;
             }
-            let agg = self.window_buf.remove(&w).expect("key just read");
+            let (_, agg) = self.window_buf.pop_front().expect("front just read");
             if agg.count > 0.0 {
                 let xray_led = if xray {
                     node_acc[Component::Queue as usize] +=
@@ -395,7 +410,8 @@ impl Group {
     fn drain_windows(&mut self, xray: bool, now: f64) -> Vec<Cohort> {
         let out = self
             .window_buf
-            .values()
+            .iter()
+            .map(|(_, a)| a)
             .filter(|a| a.count > 0.0)
             .map(|a| Cohort {
                 birth: SimTime(a.max_birth),
@@ -421,14 +437,110 @@ struct EdgeKey {
     to_site: SiteId,
 }
 
+/// One buffer of the dense edge table: the post-σ output of
+/// `key.from_op` at `key.from_site` bound for `key.to_op` at
+/// `key.to_site`.
+#[derive(Debug)]
+struct EdgeBuf {
+    key: EdgeKey,
+    queue: CohortQueue,
+    /// Slot of the destination group (`None` while none is deployed).
+    dest: Option<usize>,
+}
+
+/// A source operator of the deployed plan, resolved for
+/// `generate_sources`.
+#[derive(Debug, Clone, Copy)]
+struct SourceSlot {
+    site: SiteId,
+    base_rate: f64,
+    /// Slot of the source's group at `site`.
+    group: Option<usize>,
+}
+
+/// The outgoing edges of the group of `op` at `site`, each with its
+/// share of the group's emitted events, in (downstream op, placement
+/// site) order.
+fn outgoing_edges<'a>(
+    plan: &'a LogicalPlan,
+    physical: &'a PhysicalPlan,
+    op: OpId,
+    site: SiteId,
+) -> impl Iterator<Item = (EdgeKey, f64)> + 'a {
+    plan.downstream(op).iter().flat_map(move |&d| {
+        let placement = physical.placement(d);
+        placement.iter().map(move |(sd, _)| {
+            let key = EdgeKey {
+                from_op: op,
+                from_site: site,
+                to_op: d,
+                to_site: sd,
+            };
+            (key, placement.share(sd))
+        })
+    })
+}
+
+/// Slot of the group of `op` at `site` in `groups`, which is in
+/// (op, site) order.
+fn group_slot(groups: &[Group], op: OpId, site: SiteId) -> Option<usize> {
+    groups
+        .binary_search_by_key(&(op, site), |g| (g.op, g.site))
+        .ok()
+}
+
 /// Running sums of one tick's processing pass.
 struct TickSums {
     /// Events delivered at sinks.
     delivered: f64,
     /// Σ delay × events over those deliveries.
     delay_sum: f64,
-    /// Events processed per op (indexed by `OpId`), for `state_step`.
+}
+
+/// Buffers the tick phases reuse from tick to tick, so a steady-state
+/// tick allocates little beyond `Network::allocate`'s working vectors
+/// and queues outgrowing their capacity. Vectors of per-tick results are cleared
+/// before they are filled; the two cohort buffers are emptied after
+/// each use.
+#[derive(Debug, Default)]
+struct TickScratch {
+    /// Cohorts taken from one queue on their way into another.
+    cohorts: Vec<Cohort>,
+    /// Cohorts a group emits this tick.
+    emitted: Vec<Cohort>,
+    /// `transfer_step` candidates: (edge slot, destination group slot,
+    /// queued events), in edge key order.
+    candidates: Vec<(usize, usize, f64)>,
+    /// Candidate indices by (destination slot, queued events, index):
+    /// the water-fill order of each destination's senders.
+    order: Vec<usize>,
+    /// Events admitted per candidate.
+    grants: Vec<f64>,
+    /// Network flows: data flows first, then checkpoint, compaction,
+    /// migration and slice flows.
+    flows: Vec<FlowDemand>,
+    /// Per data flow: (edge slot, destination group slot, admitted
+    /// events).
+    data_flows: Vec<(usize, usize, f64)>,
+    /// (upload index, flow index) of checkpoint uploads.
+    ckpt_flows: Vec<(usize, usize)>,
+    /// (flight index, flow index) of compaction flights.
+    comp_flows: Vec<(usize, usize)>,
+    /// (migration, transfer, flow index) of migration transfers.
+    mig_flows: Vec<(usize, usize, usize)>,
+    /// (migration, slice, flow index) of partition slice flights.
+    slice_flows: Vec<(usize, usize, usize)>,
+    /// Links that already carry a head-of-line slice.
+    links: Vec<(SiteId, SiteId)>,
+    /// Per inter-site flow with a positive rate: (link, flow index,
+    /// Mbps), then summed per link.
+    link_usage: Vec<((SiteId, SiteId), usize, f64)>,
+    /// Key-weight share held by in-flight slices, per op.
+    paused: Vec<f64>,
+    /// Events processed per op, for `state_step`.
     per_op_processed: Vec<f64>,
+    /// Queued events per op, for the queue gauges.
+    queue_gauges: Vec<f64>,
 }
 
 /// Closes a cohort's input-queue interval up to `until`. The overlap
@@ -800,8 +912,25 @@ pub struct Engine {
     /// integer count (`now = tick × dt`) so long runs cannot
     /// accumulate floating-point drift across platforms.
     tick: u64,
-    groups: BTreeMap<(OpId, SiteId), Group>,
-    edges: BTreeMap<EdgeKey, CohortQueue>,
+    /// Deployed groups in (op, site) order; a group's index is its
+    /// slot. Only `rebuild_tables` reorders or re-slots them.
+    groups: Vec<Group>,
+    /// Edge buffers in `EdgeKey` order; an edge's index is its slot.
+    edges: Vec<EdgeBuf>,
+    /// Every group's outgoing edges as (edge slot, share of the
+    /// emitted events), in (downstream op, placement site) order; a
+    /// group's entries are `out_edges[group.out]`.
+    out_edges: Vec<(usize, f64)>,
+    /// Slots of each op's groups (indexed by `OpId`): a range, in
+    /// placement site order.
+    op_groups: Vec<Range<usize>>,
+    /// The deployed plan's sources, in op id order.
+    sources: Vec<SourceSlot>,
+    /// Indices into `script.workload_series()` of each site's workload
+    /// series (indexed by site), in insertion order.
+    workload_series: Vec<Vec<usize>>,
+    /// Buffers reused by every tick.
+    scratch: TickScratch,
     migrations: Vec<Migration>,
     metrics: RunMetrics,
     last_ckpt: f64,
@@ -890,6 +1019,14 @@ impl Engine {
         }
         let drop_slo = cfg.drop_slo;
         let failure_applied = vec![false; script.failures().len()];
+        // The engine never replaces its script, so each site's workload
+        // series can be resolved once.
+        let mut workload_series = vec![Vec::new(); net.topology().num_sites()];
+        for (i, (site, _)) in script.workload_series().iter().enumerate() {
+            if let Some(series) = workload_series.get_mut(site.index()) {
+                series.push(i);
+            }
+        }
         let mut engine = Engine {
             net,
             script,
@@ -898,8 +1035,13 @@ impl Engine {
             cfg,
             now: 0.0,
             tick: 0,
-            groups: BTreeMap::new(),
-            edges: BTreeMap::new(),
+            groups: Vec::new(),
+            edges: Vec::new(),
+            out_edges: Vec::new(),
+            op_groups: Vec::new(),
+            sources: Vec::new(),
+            workload_series,
+            scratch: TickScratch::default(),
             migrations: Vec::new(),
             metrics: RunMetrics::new(),
             last_ckpt: 0.0,
@@ -1556,13 +1698,15 @@ impl Engine {
         em.delivered.add(delivered);
         em.dropped.add(dropped);
         em.migrations_in_flight.set(self.migrations.len() as f64);
-        let mut queues = vec![0.0; em.queue.len()];
-        for (&(op, _site), g) in &self.groups {
-            if let Some(q) = queues.get_mut(op.index()) {
+        let queues = &mut self.scratch.queue_gauges;
+        queues.clear();
+        queues.resize(em.queue.len(), 0.0);
+        for g in &self.groups {
+            if let Some(q) = queues.get_mut(g.op.index()) {
                 *q += g.input.len_events() + g.redo.len_events();
             }
         }
-        for (gauge, q) in em.queue.iter().zip(queues) {
+        for (gauge, &q) in em.queue.iter().zip(queues.iter()) {
             gauge.set(q);
         }
     }
@@ -1598,10 +1742,7 @@ impl Engine {
             let mut backpressure = false;
             let mut out_blocked = false;
             let mut state_mb = BTreeMap::new();
-            for (&(gop, site), g) in &self.groups {
-                if gop != op {
-                    continue;
-                }
+            for g in &self.groups[self.op_groups[op.index()].clone()] {
                 lambda_i += g.arrived / elapsed;
                 lambda_p += g.processed / elapsed;
                 lambda_o += g.emitted / elapsed;
@@ -1610,7 +1751,7 @@ impl Engine {
                 backpressure |= g.backpressured;
                 out_blocked |= g.out_blocked;
                 if g.state_mb > 0.0 {
-                    state_mb.insert(site, g.state_mb);
+                    state_mb.insert(g.site, g.state_mb);
                 }
             }
             if spec.kind().is_source() {
@@ -1624,13 +1765,11 @@ impl Engine {
                 queue = self
                     .edges
                     .iter()
-                    .filter(|(k, _)| k.from_op == op)
-                    .map(|(_, q)| q.len_events())
+                    .filter(|e| e.key.from_op == op)
+                    .map(|e| e.queue.len_events())
                     .sum();
-                for (&(gop, _), g) in &self.groups {
-                    if gop == op {
-                        queue += g.pending_out.len_events();
-                    }
+                for g in &self.groups[self.op_groups[op.index()].clone()] {
+                    queue += g.pending_out.len_events();
                 }
             }
             let sigma = if lambda_p > 1e-9 {
@@ -1656,7 +1795,7 @@ impl Engine {
             });
         }
         // Reset interval counters.
-        for g in self.groups.values_mut() {
+        for g in &mut self.groups {
             g.arrived = 0.0;
             g.processed = 0.0;
             g.emitted = 0.0;
@@ -1698,11 +1837,12 @@ impl Engine {
         self.edges.clear();
         for op in self.plan.op_ids() {
             for (site, tasks) in self.physical.placement(op).iter() {
-                let mut g = Group::fresh(tasks);
+                let mut g = Group::fresh(op, site, tasks);
                 self.init_state(op, &mut g);
-                self.groups.insert((op, site), g);
+                self.groups.push(g);
             }
         }
+        self.rebuild_tables();
         // Partitioned state: one store per stateful op, its stream id
         // derived from the op id so each stage shuffles its hot
         // partition independently.
@@ -1719,16 +1859,119 @@ impl Engine {
                     continue;
                 }
                 let mut store = wasp_state::StateStore::new(&pc, op.0 as u64);
-                let total: f64 = self
-                    .groups
+                let total: f64 = self.groups[self.op_groups[op.index()].clone()]
                     .iter()
-                    .filter(|((o, _), _)| *o == op)
-                    .map(|(_, g)| g.state_mb)
+                    .map(|g| g.state_mb)
                     .sum();
                 store.set_total_mb(total);
                 self.stores.insert(op, store);
             }
         }
+    }
+
+    /// Rebuilds the dense tick tables after a structural change (a
+    /// group or edge buffer added or removed, or a placement changed):
+    /// sorts the groups into (op, site) order and re-derives every
+    /// slot the tick uses — each op's group range, each edge buffer's
+    /// destination, each group's outgoing (edge, share) entries and
+    /// the source table. The edge table keeps every buffer that still
+    /// holds cohorts and gains an empty one for each missing outgoing
+    /// edge of the current placement; an empty buffer no group emits
+    /// into is dropped. Slot order is key order, so a loop over slots
+    /// visits groups in (op, site) order and edges in `EdgeKey` order.
+    fn rebuild_tables(&mut self) {
+        self.groups.sort_unstable_by_key(|g| (g.op, g.site));
+        self.op_groups.clear();
+        let mut start = 0;
+        for op in self.plan.op_ids() {
+            let len = self.groups[start..]
+                .iter()
+                .take_while(|g| g.op == op)
+                .count();
+            self.op_groups.push(start..start + len);
+            start += len;
+        }
+        debug_assert_eq!(start, self.groups.len(), "every group belongs to a plan op");
+
+        let mut wanted: Vec<EdgeKey> = self
+            .groups
+            .iter()
+            .flat_map(|g| outgoing_edges(&self.plan, &self.physical, g.op, g.site))
+            .map(|(key, _)| key)
+            .collect();
+        wanted.sort_unstable();
+        self.edges
+            .retain(|e| e.queue.len_cohorts() > 0 || wanted.binary_search(&e.key).is_ok());
+        let kept = self.edges.len();
+        for key in wanted {
+            if self.edges[..kept]
+                .binary_search_by_key(&key, |e| e.key)
+                .is_err()
+            {
+                self.edges.push(EdgeBuf {
+                    key,
+                    queue: CohortQueue::new(),
+                    dest: None,
+                });
+            }
+        }
+        self.edges.sort_unstable_by_key(|e| e.key);
+        for e in &mut self.edges {
+            e.dest = group_slot(&self.groups, e.key.to_op, e.key.to_site);
+        }
+        self.out_edges.clear();
+        for g in &mut self.groups {
+            let start = self.out_edges.len();
+            for (key, share) in outgoing_edges(&self.plan, &self.physical, g.op, g.site) {
+                let slot = self
+                    .edges
+                    .binary_search_by_key(&key, |e| e.key)
+                    .expect("every outgoing edge was just added");
+                self.out_edges.push((slot, share));
+            }
+            g.out = start..self.out_edges.len();
+        }
+        self.sources.clear();
+        for op in self.plan.sources() {
+            let (site, base_rate) = match self.plan.op(op).kind() {
+                OperatorKind::Source {
+                    site, base_rate, ..
+                } => (*site, *base_rate),
+                _ => unreachable!("sources() returns sources"),
+            };
+            self.sources.push(SourceSlot {
+                site,
+                base_rate,
+                group: group_slot(&self.groups, op, site),
+            });
+        }
+    }
+
+    /// The deployed group of `op` at `site`, if any.
+    fn group_mut(&mut self, op: OpId, site: SiteId) -> Option<&mut Group> {
+        let slot = group_slot(&self.groups, op, site)?;
+        Some(&mut self.groups[slot])
+    }
+
+    /// The buffer of edge `key`, inserted empty at its key position if
+    /// missing. An insertion shifts later edge slots, so the structural
+    /// change that calls this ends with [`Engine::rebuild_tables`].
+    fn edge_queue_mut(&mut self, key: EdgeKey) -> &mut CohortQueue {
+        let slot = match self.edges.binary_search_by_key(&key, |e| e.key) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                self.edges.insert(
+                    slot,
+                    EdgeBuf {
+                        key,
+                        queue: CohortQueue::new(),
+                        dest: None,
+                    },
+                );
+                slot
+            }
+        };
+        &mut self.edges[slot].queue
     }
 
     fn init_state(&self, op: OpId, g: &mut Group) {
@@ -1771,50 +2014,51 @@ impl Engine {
         let xray_on = self.xray.is_some();
         let now = self.now;
         let mut xray_acc = [0.0; 6];
-        let old_sites: Vec<SiteId> = self.physical.placement(op).sites();
+        let old_groups: Vec<Group> = self
+            .groups
+            .drain(self.op_groups[op.index()].clone())
+            .collect();
         let mut carried_input = CohortQueue::new();
         let mut carried_window = CohortQueue::new();
         let mut old_state_total = 0.0;
-        for site in old_sites {
-            if let Some(mut g) = self.groups.remove(&(op, site)) {
-                let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
-                let mut inputs = g.input.drain();
-                inputs.extend(g.redo.drain());
-                let mut windows = g.drain_windows(xray_on, now);
-                let mut pend = g.pending_out.drain();
-                if xray_on {
-                    // Close every carried ledger out at `now` against
-                    // the *old* group's pause counters, then zero the
-                    // marks: the fresh groups restart their counters.
-                    for c in inputs.iter_mut() {
-                        let comps = close_queue_interval(c, mc, fc, now, 0.0);
-                        for (a, v) in xray_acc.iter_mut().zip(comps) {
-                            *a += v * c.count;
-                        }
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
+        for mut g in old_groups {
+            let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
+            let mut inputs = g.input.drain();
+            inputs.extend(g.redo.drain());
+            let mut windows = g.drain_windows(xray_on, now);
+            let mut pend = g.pending_out.drain();
+            if xray_on {
+                // Close every carried ledger out at `now` against
+                // the *old* group's pause counters, then zero the
+                // marks: the fresh groups restart their counters.
+                for c in inputs.iter_mut() {
+                    let comps = close_queue_interval(c, mc, fc, now, 0.0);
+                    for (a, v) in xray_acc.iter_mut().zip(comps) {
+                        *a += v * c.count;
                     }
-                    for c in windows.iter_mut() {
-                        // `drain_windows` already closed these at `now`.
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
-                    }
-                    for c in pend.iter_mut() {
-                        let comps = close_pending_interval(c, now, 0.0);
-                        for (a, v) in xray_acc.iter_mut().zip(comps) {
-                            *a += v * c.count;
-                        }
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
-                    }
+                    c.xray.mark_pause = 0.0;
+                    c.xray.mark_fail = 0.0;
                 }
-                carried_input.push_all(inputs);
-                carried_window.push_all(windows);
-                old_state_total += g.state_mb;
-                // Pending output stays at the site as an orphan edge
-                // buffer source; move it into the outgoing edges now.
-                self.spill_pending(op, site, pend);
+                for c in windows.iter_mut() {
+                    // `drain_windows` already closed these at `now`.
+                    c.xray.mark_pause = 0.0;
+                    c.xray.mark_fail = 0.0;
+                }
+                for c in pend.iter_mut() {
+                    let comps = close_pending_interval(c, now, 0.0);
+                    for (a, v) in xray_acc.iter_mut().zip(comps) {
+                        *a += v * c.count;
+                    }
+                    c.xray.mark_pause = 0.0;
+                    c.xray.mark_fail = 0.0;
+                }
             }
+            carried_input.push_all(inputs);
+            carried_window.push_all(windows);
+            old_state_total += g.state_mb;
+            // Pending output stays at the site as an orphan edge
+            // buffer source; move it into the outgoing edges now.
+            self.spill_pending(op, g.site, pend);
         }
         if let Some(xs) = self.xray.as_mut() {
             xs.rec.charge_node(now, op.0, xray_acc);
@@ -1833,7 +2077,7 @@ impl Engine {
         let window_cohorts = carried_window.drain();
         for (site, tasks) in placement.iter() {
             let share = tasks as f64 / p as f64;
-            let mut g = Group::fresh(tasks);
+            let mut g = Group::fresh(op, site, tasks);
             g.input.push_all(scaled_iter(&input_cohorts, share));
             // Buffered open-window contents are *state*: restore them
             // directly into the window accumulator (re-processing them
@@ -1847,11 +2091,12 @@ impl Engine {
                 g.input.push_all(scaled_iter(&window_cohorts, share));
             }
             self.init_state(op, &mut g);
-            self.groups.insert((op, site), g);
+            self.groups.push(g);
         }
 
         // Re-key inbound edge buffers to the new destination sites.
         self.rekey_in_edges(op);
+        self.rebuild_tables();
 
         let effective_transfers = if skip_state { Vec::new() } else { transfers };
         self.metrics.annotate(SimTime(self.now), "transition-start");
@@ -1988,22 +2233,11 @@ impl Engine {
         if pending.is_empty() {
             return;
         }
-        let downstream: Vec<OpId> = self.plan.downstream(op).to_vec();
-        for d in downstream {
-            let placement = self.physical.placement(d).clone();
-            for (sd, _) in placement.iter() {
-                let share = placement.share(sd);
-                let key = EdgeKey {
-                    from_op: op,
-                    from_site: site,
-                    to_op: d,
-                    to_site: sd,
-                };
-                self.edges
-                    .entry(key)
-                    .or_default()
-                    .push_all(scaled_iter(&pending, share));
-            }
+        let outs: Vec<(EdgeKey, f64)> =
+            outgoing_edges(&self.plan, &self.physical, op, site).collect();
+        for (key, share) in outs {
+            self.edge_queue_mut(key)
+                .push_all(scaled_iter(&pending, share));
         }
     }
 
@@ -2011,20 +2245,14 @@ impl Engine {
     /// inbound edge buffers across the new destination sites.
     fn rekey_in_edges(&mut self, op: OpId) {
         let placement = self.physical.placement(op).clone();
-        let keys: Vec<EdgeKey> = self
-            .edges
-            .keys()
-            .filter(|k| k.to_op == op)
-            .copied()
-            .collect();
-        // Gather contents per (from_op, from_site).
+        // Gather contents per (from_op, from_site); the emptied buffers
+        // go at the next table rebuild unless still in use.
         let mut gathered: BTreeMap<(OpId, SiteId), CohortQueue> = BTreeMap::new();
-        for key in keys {
-            let mut q = self.edges.remove(&key).expect("key just listed");
+        for e in self.edges.iter_mut().filter(|e| e.key.to_op == op) {
             gathered
-                .entry((key.from_op, key.from_site))
+                .entry((e.key.from_op, e.key.from_site))
                 .or_default()
-                .push_all(q.drain());
+                .push_all(e.queue.drain());
         }
         for ((from_op, from_site), mut q) in gathered {
             let cohorts = q.drain();
@@ -2036,9 +2264,7 @@ impl Engine {
                     to_op: op,
                     to_site: sd,
                 };
-                self.edges
-                    .entry(key)
-                    .or_default()
+                self.edge_queue_mut(key)
                     .push_all(scaled_iter(&cohorts, share));
             }
         }
@@ -2100,9 +2326,8 @@ impl Engine {
         };
 
         let mut xray_node_acc: BTreeMap<u32, [f64; 6]> = BTreeMap::new();
-        let group_keys: Vec<(OpId, SiteId)> = self.groups.keys().copied().collect();
-        for (op, site) in group_keys {
-            let mut g = self.groups.remove(&(op, site)).expect("key just listed");
+        for mut g in std::mem::take(&mut self.groups) {
+            let op = g.op;
             let in_factor = if total_src > 0.0 {
                 old_rates[op.index()].0 / total_src
             } else {
@@ -2161,9 +2386,10 @@ impl Engine {
         }
         // Edge buffers hold post-σ output of from_op: carried
         // producers keep it as pending output, the rest replays.
-        let edge_keys: Vec<EdgeKey> = self.edges.keys().copied().collect();
-        for key in edge_keys {
-            let mut q = self.edges.remove(&key).expect("key just listed");
+        for EdgeBuf {
+            key, queue: mut q, ..
+        } in std::mem::take(&mut self.edges)
+        {
             if let Some(&new_op) = carry_map.get(&key.from_op) {
                 let mut cohorts = q.drain();
                 if xray_on {
@@ -2212,7 +2438,7 @@ impl Engine {
             let placement = self.physical.placement(new_op).clone();
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
-                if let Some(g) = self.groups.get_mut(&(new_op, site)) {
+                if let Some(g) = self.group_mut(new_op, site) {
                     g.input
                         .push_all(scaled_iter(chunks.iter().flatten(), share));
                 }
@@ -2226,7 +2452,7 @@ impl Engine {
             };
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
-                if let Some(g) = self.groups.get_mut(&(new_op, site)) {
+                if let Some(g) = self.group_mut(new_op, site) {
                     match window_s {
                         // Window contents are state: restore them into
                         // the accumulator without re-processing.
@@ -2246,7 +2472,7 @@ impl Engine {
             let placement = self.physical.placement(new_op).clone();
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
-                if let Some(g) = self.groups.get_mut(&(new_op, site)) {
+                if let Some(g) = self.group_mut(new_op, site) {
                     g.pending_out
                         .push_all(scaled_iter(chunks.iter().flatten(), share));
                 }
@@ -2262,7 +2488,7 @@ impl Engine {
                 let share = new_rates[src.index()].1 / new_total;
                 let placement = self.physical.placement(src).clone();
                 for (site, _) in placement.iter() {
-                    if let Some(g) = self.groups.get_mut(&(src, site)) {
+                    if let Some(g) = self.group_mut(src, site) {
                         g.pending_out.push_all(scaled_iter(&replay, share));
                     }
                 }
@@ -2401,8 +2627,8 @@ impl Engine {
     }
 
     fn apply_failure_transitions(&mut self, t0: f64) {
-        let failures: Vec<_> = self.script.failures().to_vec();
-        for (i, f) in failures.iter().enumerate() {
+        for i in 0..self.failure_applied.len() {
+            let f = self.script.failures()[i];
             if !self.failure_applied[i] && f.is_active(SimTime(t0)) {
                 self.failure_applied[i] = true;
                 self.metrics.annotate(SimTime(t0), "failure");
@@ -2412,7 +2638,8 @@ impl Engine {
                 // last incremental round — so the redo volume scales
                 // by the dirty key-weight fraction.
                 let mut hit: Vec<(OpId, SiteId)> = Vec::new();
-                for (&(op, site), g) in self.groups.iter_mut() {
+                for g in &mut self.groups {
+                    let (op, site) = (g.op, g.site);
                     if f.affects(site, SimTime(t0)) {
                         let lost = g.since_ckpt.drain();
                         match self.stores.get(&op) {
@@ -2517,7 +2744,8 @@ impl Engine {
             // snapshot is abandoned).
             self.checkpoint_uploads.clear();
             let deltas = self.take_checkpoint_deltas(t0);
-            for (&(op, site), g) in self.groups.iter_mut() {
+            for g in &mut self.groups {
+                let (op, site) = (g.op, g.site);
                 // A failed site can neither snapshot its state nor
                 // upload it — its since-checkpoint window stays open.
                 if self.script.site_failed(site, SimTime(t0)) {
@@ -2529,7 +2757,7 @@ impl Engine {
                         // this site's share of the delta, not the full
                         // blob.
                         Some(d) => {
-                            g.since_ckpt.drain();
+                            g.since_ckpt.clear();
                             if d.full_mb > 1e-12 {
                                 d.delta_mb * g.state_mb / d.full_mb
                             } else {
@@ -2541,7 +2769,7 @@ impl Engine {
                         None => continue,
                     }
                 } else {
-                    g.since_ckpt.drain();
+                    g.since_ckpt.clear();
                     g.state_mb
                 };
                 if site != target && upload_mb > 0.0 {
@@ -2560,7 +2788,8 @@ impl Engine {
             // Localized checkpointing: every healthy site snapshots in
             // place; failed sites keep their redo window open.
             let deltas = self.take_checkpoint_deltas(t0);
-            for (&(op, site), g) in self.groups.iter_mut() {
+            for g in &mut self.groups {
+                let (op, site) = (g.op, g.site);
                 if self.script.site_failed(site, SimTime(t0)) {
                     continue;
                 }
@@ -2569,7 +2798,7 @@ impl Engine {
                 if self.stores.contains_key(&op) && !deltas.contains_key(&op) {
                     continue;
                 }
-                g.since_ckpt.drain();
+                g.since_ckpt.clear();
             }
             self.tel.emit(t0, || TelEvent::CheckpointRound {
                 kind: "local".to_string(),
@@ -2664,8 +2893,9 @@ impl Engine {
         let record = self.state_timeline.compactions.len();
         let mut flights: Vec<CompactionFlight> = Vec::new();
         if let CheckpointTarget::Remote(target) = self.cfg.checkpoint_target {
-            for (&(gop, site), g) in self.groups.iter() {
-                if gop != op || site == target || g.state_mb <= 0.0 {
+            for g in &self.groups[self.op_groups[op.index()].clone()] {
+                let site = g.site;
+                if site == target || g.state_mb <= 0.0 {
                     continue;
                 }
                 if self.script.site_failed(site, SimTime(t0)) {
@@ -2809,13 +3039,11 @@ impl Engine {
                 // re-enters the input. With partitioned state only the
                 // dirty partitions need replay.
                 let frac = self.stores.get(&op).map(|s| s.dirty_weight_fraction());
-                for (&(gop, _), g) in self.groups.iter_mut() {
-                    if gop == op {
-                        let lost = g.since_ckpt.drain();
-                        match frac {
-                            Some(f) => g.redo.push_all(scaled_iter(&lost, f)),
-                            None => g.redo.push_all(lost),
-                        }
+                for g in &mut self.groups[self.op_groups[op.index()].clone()] {
+                    let lost = g.since_ckpt.drain();
+                    match frac {
+                        Some(f) => g.redo.push_all(scaled_iter(&lost, f)),
+                        None => g.redo.push_all(lost),
                     }
                 }
                 self.pending_events.push(FailureEvent::MigrationAborted {
@@ -2826,7 +3054,7 @@ impl Engine {
             } else {
                 // Whole-query transition: every stage redoes its
                 // since-checkpoint window.
-                for g in self.groups.values_mut() {
+                for g in &mut self.groups {
                     let lost = g.since_ckpt.drain();
                     g.redo.push_all(lost);
                 }
@@ -2854,19 +3082,27 @@ impl Engine {
     }
 
     fn generate_sources(&mut self, t0: f64, dt: f64) -> f64 {
+        let t = SimTime(t0);
+        // `DynamicsScript::workload_factor` over the series resolved at
+        // construction: the same factors, multiplied in the same order.
+        let series = self.script.workload_series();
+        let global = self
+            .script
+            .global_workload_series()
+            .map(|f| f.factor_at(t))
+            .unwrap_or(1.0);
         let mut total = 0.0;
-        for op in self.plan.sources() {
-            let (site, base_rate) = match self.plan.op(op).kind() {
-                OperatorKind::Source {
-                    site, base_rate, ..
-                } => (*site, *base_rate),
-                _ => unreachable!("sources() returns sources"),
-            };
-            let factor = self.script.workload_factor(site, SimTime(t0));
-            let count = base_rate * factor * dt;
+        for src in &self.sources {
+            let per = self.workload_series[src.site.index()]
+                .iter()
+                .map(|&i| series[i].1.factor_at(t))
+                .product::<f64>();
+            let factor = per * global;
+            let count = src.base_rate * factor * dt;
             total += count;
-            if let Some(g) = self.groups.get_mut(&(op, site)) {
-                g.pending_out.push(Cohort::new(SimTime(t0), count));
+            if let Some(slot) = src.group {
+                let g = &mut self.groups[slot];
+                g.pending_out.push(Cohort::new(t, count));
                 g.generated += count;
                 g.processed += count;
                 g.arrived += count;
@@ -2888,69 +3124,76 @@ impl Engine {
     }
 
     fn transfer_step(&mut self, t0: f64, dt: f64) {
+        let mut sc = std::mem::take(&mut self.scratch);
+        self.transfer_with(&mut sc, t0, dt);
+        self.scratch = sc;
+    }
+
+    /// [`Engine::transfer_step`] over the reused buffers `sc`.
+    fn transfer_with(&mut self, sc: &mut TickScratch, t0: f64, dt: f64) {
         // Candidate edge buffers with data to move this tick.
-        let mut candidates: Vec<(EdgeKey, f64)> = Vec::new();
-        let mut per_dest: BTreeMap<(OpId, SiteId), Vec<usize>> = BTreeMap::new();
-        for (key, queue) in &self.edges {
-            let queue_len = queue.len_events();
+        sc.candidates.clear();
+        for (slot, e) in self.edges.iter().enumerate() {
+            let queue_len = e.queue.len_events();
             if queue_len <= 0.0 {
                 continue;
             }
-            if self.site_failed(key.from_site, t0)
-                || self.site_failed(key.to_site, t0)
-                || self.is_suspended(key.to_op)
-                || !self.groups.contains_key(&(key.to_op, key.to_site))
+            let Some(dest) = e.dest else { continue };
+            if self.site_failed(e.key.from_site, t0)
+                || self.site_failed(e.key.to_site, t0)
+                || self.is_suspended(e.key.to_op)
             {
                 continue;
             }
-            per_dest
-                .entry((key.to_op, key.to_site))
-                .or_default()
-                .push(candidates.len());
-            candidates.push((*key, queue_len));
+            sc.candidates.push((slot, dest, queue_len));
         }
         // Queue admission per destination, split max-min fairly across
         // the senders (first-come order would let a backlogged sender
-        // starve the others indefinitely).
-        let mut grants: Vec<f64> = vec![0.0; candidates.len()];
-        for ((to_op, to_site), members) in &per_dest {
-            let dest = &self.groups[&(*to_op, *to_site)];
-            let cap = self.queue_capacity(*to_op, dest.tasks);
+        // starve the others indefinitely). Destinations go in slot
+        // order; each water-fills its senders smallest demand first,
+        // equal demands in edge order.
+        let cands = &sc.candidates;
+        sc.order.clear();
+        sc.order.extend(0..cands.len());
+        sc.order.sort_unstable_by(|&a, &b| {
+            let ((_, dest_a, len_a), (_, dest_b, len_b)) = (cands[a], cands[b]);
+            dest_a
+                .cmp(&dest_b)
+                .then(len_a.partial_cmp(&len_b).expect("queue lengths are finite"))
+                .then(a.cmp(&b))
+        });
+        sc.grants.clear();
+        sc.grants.resize(cands.len(), 0.0);
+        for members in sc.order.chunk_by(|&a, &b| cands[a].1 == cands[b].1) {
+            let dest = &self.groups[cands[members[0]].1];
+            let cap = self.queue_capacity(dest.op, dest.tasks);
             let mut admission = (cap - dest.input.len_events()).max(0.0);
-            // Water-fill: satisfy the smallest demands first.
-            let mut order: Vec<usize> = members.clone();
-            order.sort_by(|&a, &b| {
-                candidates[a]
-                    .1
-                    .partial_cmp(&candidates[b].1)
-                    .expect("queue lengths are finite")
-            });
-            let mut left = order.len();
-            for idx in order {
+            let mut left = members.len();
+            for &idx in members {
                 let fair = admission / left as f64;
-                let take = candidates[idx].1.min(fair);
-                grants[idx] = take;
+                let take = cands[idx].2.min(fair);
+                sc.grants[idx] = take;
                 admission -= take;
                 left -= 1;
             }
         }
         // Build the network flows from the granted amounts.
-        let mut flows: Vec<FlowDemand> = Vec::new();
-        let mut flow_edges: Vec<Option<EdgeKey>> = Vec::new();
-        let mut admissions: Vec<f64> = Vec::new();
-        for ((key, _), &granted) in candidates.iter().zip(&grants) {
+        sc.flows.clear();
+        sc.data_flows.clear();
+        for (&(slot, dest, _), &granted) in sc.candidates.iter().zip(&sc.grants) {
             if granted <= 0.0 {
                 continue;
             }
+            let key = self.edges[slot].key;
             let bytes = self.plan.out_bytes(key.from_op);
             let mbps = granted * bytes * 8.0 / 1e6 / dt;
-            flows.push(FlowDemand::new(key.from_site, key.to_site, Mbps(mbps)));
-            flow_edges.push(Some(*key));
-            admissions.push(granted);
+            sc.flows
+                .push(FlowDemand::new(key.from_site, key.to_site, Mbps(mbps)));
+            sc.data_flows.push((slot, dest, granted));
         }
         // Checkpoint uploads to remote storage compete for the links
         // too (the §5 argument for localized checkpointing).
-        let mut ckpt_flow_index: Vec<(usize, usize)> = Vec::new(); // (upload idx, flow idx)
+        sc.ckpt_flows.clear();
         for (ci, up) in self.checkpoint_uploads.iter().enumerate() {
             if up.remaining_mb <= 1e-9
                 || self.site_failed(up.from, t0)
@@ -2959,15 +3202,13 @@ impl Engine {
                 continue;
             }
             let mbps = up.remaining_mb * 8.0 / dt;
-            ckpt_flow_index.push((ci, flows.len()));
-            flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
-            flow_edges.push(None);
-            admissions.push(0.0);
+            sc.ckpt_flows.push((ci, sc.flows.len()));
+            sc.flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
         }
         // Compaction full-snapshot bursts contend for the links too
         // (empty unless delta-chain modeling is on with remote
         // checkpointing).
-        let mut comp_flow_index: Vec<(usize, usize)> = Vec::new(); // (flight idx, flow idx)
+        sc.comp_flows.clear();
         for (ci, up) in self.compaction_uploads.iter().enumerate() {
             if up.remaining_mb <= 1e-9
                 || self.site_failed(up.from, t0)
@@ -2976,13 +3217,11 @@ impl Engine {
                 continue;
             }
             let mbps = up.remaining_mb * 8.0 / dt;
-            comp_flow_index.push((ci, flows.len()));
-            flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
-            flow_edges.push(None);
-            admissions.push(0.0);
+            sc.comp_flows.push((ci, sc.flows.len()));
+            sc.flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
         }
         // Migration transfers compete for the same links.
-        let mut mig_flow_index: Vec<(usize, usize, usize)> = Vec::new(); // (mig, transfer, flow idx)
+        sc.mig_flows.clear();
         for (mi, m) in self.migrations.iter().enumerate() {
             for (ti, tr) in m.transfers.iter().enumerate() {
                 if tr.remaining_mb <= 1e-9
@@ -2992,23 +3231,20 @@ impl Engine {
                     continue;
                 }
                 let mbps = tr.remaining_mb * 8.0 / dt;
-                mig_flow_index.push((mi, ti, flows.len()));
-                flows.push(FlowDemand::new(tr.from, tr.to, Mbps(mbps)));
-                flow_edges.push(None);
-                admissions.push(0.0);
+                sc.mig_flows.push((mi, ti, sc.flows.len()));
+                sc.flows.push(FlowDemand::new(tr.from, tr.to, Mbps(mbps)));
             }
         }
         // Partition slice flights (partitioned migrations): pipelined
         // per (from, to) link — only the head slice of each link's
         // queue is in flight (and paused) at a time.
-        let mut slice_flow_index: Vec<(usize, usize, usize)> = Vec::new(); // (mig, slice, flow idx)
+        sc.slice_flows.clear();
         for (mi, m) in self.migrations.iter_mut().enumerate() {
             if m.slices.is_empty() {
                 continue;
             }
             let mop = m.op.map(|o| o.0);
-            let mut links: std::collections::BTreeSet<(SiteId, SiteId)> =
-                std::collections::BTreeSet::new();
+            sc.links.clear();
             for (si, s) in m.slices.iter_mut().enumerate() {
                 if s.remaining_mb <= 1e-9
                     || self.script.site_failed(s.from, SimTime(t0))
@@ -3018,9 +3254,10 @@ impl Engine {
                 }
                 // Head-of-line only: later slices of the same link
                 // wait their turn.
-                if !links.insert((s.from, s.to)) {
+                if sc.links.contains(&(s.from, s.to)) {
                     continue;
                 }
+                sc.links.push((s.from, s.to));
                 if s.started_at.is_none() {
                     s.started_at = Some(t0);
                     s.record = Some(self.state_timeline.transfers.len());
@@ -3047,76 +3284,97 @@ impl Engine {
                     });
                 }
                 let mbps = s.remaining_mb * 8.0 / dt;
-                slice_flow_index.push((mi, si, flows.len()));
-                flows.push(FlowDemand::new(s.from, s.to, Mbps(mbps)));
-                flow_edges.push(None);
-                admissions.push(0.0);
+                sc.slice_flows.push((mi, si, sc.flows.len()));
+                sc.flows.push(FlowDemand::new(s.from, s.to, Mbps(mbps)));
             }
         }
-        self.last_link_usage.clear();
-        if flows.is_empty() {
+        if sc.flows.is_empty() {
+            self.last_link_usage.clear();
             return;
         }
-        let rates = self.net.allocate(&flows, SimTime(t0));
-        for (f, r) in flows.iter().zip(&rates) {
+        let rates = self.net.allocate(&sc.flows, SimTime(t0));
+        // Link usage: each directed pair's rates summed in flow order.
+        // While the set of busy pairs holds, the map is updated in
+        // place.
+        sc.link_usage.clear();
+        for (i, (f, r)) in sc.flows.iter().zip(&rates).enumerate() {
             if f.from != f.to && r.0 > 0.0 {
-                *self.last_link_usage.entry((f.from, f.to)).or_insert(0.0) += r.0;
+                sc.link_usage.push(((f.from, f.to), i, r.0));
             }
         }
+        sc.link_usage
+            .sort_unstable_by_key(|&(pair, i, _)| (pair, i));
+        sc.link_usage.dedup_by(|next, first| {
+            let same = next.0 == first.0;
+            if same {
+                first.2 += next.2;
+            }
+            same
+        });
+        let same_pairs = self.last_link_usage.len() == sc.link_usage.len()
+            && self
+                .last_link_usage
+                .keys()
+                .zip(&sc.link_usage)
+                .all(|(pair, u)| *pair == u.0);
+        if same_pairs {
+            for (mbps, u) in self.last_link_usage.values_mut().zip(&sc.link_usage) {
+                *mbps = u.2;
+            }
+        } else {
+            self.last_link_usage.clear();
+            self.last_link_usage
+                .extend(sc.link_usage.iter().map(|&(pair, _, mbps)| (pair, mbps)));
+        }
         // Move events along data flows.
-        for (i, maybe_key) in flow_edges.iter().enumerate() {
-            let Some(key) = maybe_key else { continue };
+        for (i, &(slot, dest, admitted)) in sc.data_flows.iter().enumerate() {
+            let key = self.edges[slot].key;
             let bytes = self.plan.out_bytes(key.from_op);
             let mut events = if bytes > 0.0 {
                 rates[i].0 * 1e6 / 8.0 * dt / bytes
             } else {
-                admissions[i]
+                admitted
             };
             if key.from_site == key.to_site {
-                events = admissions[i]; // local hand-off is free
+                events = admitted; // local hand-off is free
             }
-            events = events.min(admissions[i]);
+            events = events.min(admitted);
             if events <= 0.0 {
                 continue;
             }
             let latency = self.net.latency(key.from_site, key.to_site).secs();
-            let moved = self
-                .edges
-                .get_mut(key)
-                .expect("edge existed when flows were built")
-                .take(events);
-            if let Some(dest) = self.groups.get_mut(&(key.to_op, key.to_site)) {
-                let (mig_cum, fail_cum) = (dest.pause_mig_cum, dest.pause_fail_cum);
-                for mut c in moved {
-                    if self.xray.is_some() {
-                        // Edge-buffer wait since emission plus the
-                        // link's propagation delay are both transit.
-                        let waited = (t0 - c.xray.attributed_until).max(0.0);
-                        c.xray.advance(Component::Transit, t0);
-                        c.xray.charge(Component::Transit, latency);
-                        c.xray.mark_pause = mig_cum;
-                        c.xray.mark_fail = fail_cum;
-                        if let Some(xs) = self.xray.as_mut() {
-                            let secs = (waited + latency) * c.count;
-                            xs.rec.charge_edge(t0, key.from_op.0, key.to_op.0, secs);
-                            xs.links.record(key.from_site, key.to_site, secs, c.count);
-                        }
+            self.edges[slot].queue.take_into(events, &mut sc.cohorts);
+            let dest = &mut self.groups[dest];
+            let (mig_cum, fail_cum) = (dest.pause_mig_cum, dest.pause_fail_cum);
+            for mut c in sc.cohorts.drain(..) {
+                if self.xray.is_some() {
+                    // Edge-buffer wait since emission plus the
+                    // link's propagation delay are both transit.
+                    let waited = (t0 - c.xray.attributed_until).max(0.0);
+                    c.xray.advance(Component::Transit, t0);
+                    c.xray.charge(Component::Transit, latency);
+                    c.xray.mark_pause = mig_cum;
+                    c.xray.mark_fail = fail_cum;
+                    if let Some(xs) = self.xray.as_mut() {
+                        let secs = (waited + latency) * c.count;
+                        xs.rec.charge_edge(t0, key.from_op.0, key.to_op.0, secs);
+                        xs.links.record(key.from_site, key.to_site, secs, c.count);
                     }
-                    c.net_latency += latency;
-                    dest.arrived += c.count;
-                    dest.input.push(c);
                 }
+                c.net_latency += latency;
+                dest.arrived += c.count;
+                dest.input.push(c);
             }
         }
         // Progress migration transfers.
-        for (mi, ti, fi) in mig_flow_index {
+        for &(mi, ti, fi) in &sc.mig_flows {
             let moved_mb = rates[fi].0 / 8.0 * dt;
             let tr = &mut self.migrations[mi].transfers[ti];
             tr.remaining_mb = (tr.remaining_mb - moved_mb).max(0.0);
         }
         // Progress partition slice flights; a finished head slice
         // frees its link for the next slice at the next tick.
-        for (mi, si, fi) in slice_flow_index {
+        for &(mi, si, fi) in &sc.slice_flows {
             let moved_mb = rates[fi].0 / 8.0 * dt;
             let mop = self.migrations[mi].op.map(|o| o.0);
             let s = &mut self.migrations[mi].slices[si];
@@ -3144,7 +3402,7 @@ impl Engine {
                 }
             }
         }
-        for (ci, fi) in ckpt_flow_index {
+        for &(ci, fi) in &sc.ckpt_flows {
             // (Link usage was already recorded with the other flows.)
             let moved_mb = rates[fi].0 / 8.0 * dt;
             let up = &mut self.checkpoint_uploads[ci];
@@ -3153,26 +3411,21 @@ impl Engine {
         self.checkpoint_uploads.retain(|t| t.remaining_mb > 1e-9);
         // Progress compaction bursts; a record closes when the last
         // flight of its burst lands.
-        if !comp_flow_index.is_empty() {
-            for (ci, fi) in comp_flow_index {
+        if !sc.comp_flows.is_empty() {
+            for &(ci, fi) in &sc.comp_flows {
                 let moved_mb = rates[fi].0 / 8.0 * dt;
                 let up = &mut self.compaction_uploads[ci];
                 up.remaining_mb = (up.remaining_mb - moved_mb).max(0.0);
             }
-            let finished: std::collections::BTreeSet<usize> = self
-                .compaction_uploads
-                .iter()
-                .filter(|f| f.remaining_mb <= 1e-9)
-                .map(|f| f.record)
-                .collect();
-            let still: std::collections::BTreeSet<usize> = self
-                .compaction_uploads
-                .iter()
-                .filter(|f| f.remaining_mb > 1e-9)
-                .map(|f| f.record)
-                .collect();
-            for ri in finished.difference(&still) {
-                if let Some(r) = self.state_timeline.compactions.get_mut(*ri) {
+            let flights = &self.compaction_uploads;
+            for f in flights.iter().filter(|f| f.remaining_mb <= 1e-9) {
+                let burst_landed = !flights
+                    .iter()
+                    .any(|o| o.record == f.record && o.remaining_mb > 1e-9);
+                if let (true, Some(r)) = (
+                    burst_landed,
+                    self.state_timeline.compactions.get_mut(f.record),
+                ) {
                     if r.end_s.is_none() {
                         r.end_s = Some(t0 + dt);
                     }
@@ -3180,8 +3433,13 @@ impl Engine {
             }
             self.compaction_uploads.retain(|f| f.remaining_mb > 1e-9);
         }
-        // Trim empty edge buffers.
-        self.edges.retain(|_, q| !q.is_empty());
+        // Empty the drained edge buffers. They stay in the table (a
+        // cleared buffer behaves as a new one) until the next rebuild.
+        for e in &mut self.edges {
+            if e.queue.is_empty() {
+                e.queue.clear();
+            }
+        }
     }
 
     /// Per-tick processing + emission over every (stage, site) group.
@@ -3189,63 +3447,65 @@ impl Engine {
     /// # Determinism
     ///
     /// The tick is one ordered pass: topological operator order, then
-    /// the placement's site order. Each (op, site) group is processed
-    /// by [`Engine::process_group`] and its effects applied before the
-    /// next group starts. A group reads and writes only state it owns —
-    /// its `Group`, and the edge buffers keyed `(from_op, from_site, …)`
-    /// with its own `(op, site)` — plus run-wide sinks (run metrics,
-    /// instruments, the xray recorder) that it appends to in pass order.
-    /// The emission limit a group reads from its outgoing buffers is
-    /// therefore the pre-tick value no matter where in the pass the
-    /// group runs, and a run is a pure function of its configuration.
+    /// the placement's site order (the op's group slots). Each group is
+    /// processed by [`Engine::process_group`] and its effects applied
+    /// before the next group starts. A group reads and writes only
+    /// state it owns — its `Group`, and the edge buffers keyed
+    /// `(from_op, from_site, …)` with its own `(op, site)` — plus
+    /// run-wide sinks (run metrics, instruments, the xray recorder)
+    /// that it appends to in pass order. The emission limit a group
+    /// reads from its outgoing buffers is therefore the pre-tick value
+    /// no matter where in the pass the group runs, and a run is a pure
+    /// function of its configuration.
     fn process_step(&mut self, t0: f64, dt: f64) -> (f64, f64) {
         // Expired chain-replay stalls release their ops (empty unless
         // compaction modeling is on).
         if !self.recovery_replays.is_empty() {
             self.recovery_replays.retain(|_, ready| t0 < *ready);
         }
-        let topo: Vec<OpId> = self.plan.topo_order().to_vec();
+        let mut sc = std::mem::take(&mut self.scratch);
         // Partitioned migrations pause only the partitions in flight:
         // the op keeps processing, at capacity scaled down by the
-        // key-weight share currently moving (empty under `Coarse`).
-        let mut inflight: BTreeMap<OpId, f64> = BTreeMap::new();
+        // key-weight share currently moving (all zero under `Coarse`).
+        sc.paused.clear();
+        sc.paused.resize(self.plan.len(), 0.0);
         for m in &self.migrations {
             let Some(op) = m.op else { continue };
             if m.slices.is_empty() {
                 continue;
             }
-            let mut links: std::collections::BTreeSet<(SiteId, SiteId)> =
-                std::collections::BTreeSet::new();
+            sc.links.clear();
             let mut w = 0.0;
             for s in &m.slices {
-                if s.remaining_mb > 1e-9 && links.insert((s.from, s.to)) {
+                if s.remaining_mb > 1e-9 && !sc.links.contains(&(s.from, s.to)) {
+                    sc.links.push((s.from, s.to));
                     w += s.weight;
                 }
             }
-            *inflight.entry(op).or_insert(0.0) += w;
+            sc.paused[op.index()] += w;
         }
+        sc.per_op_processed.clear();
+        sc.per_op_processed.resize(self.plan.len(), 0.0);
         let mut sums = TickSums {
             delivered: 0.0,
             delay_sum: 0.0,
-            per_op_processed: vec![0.0; self.plan.len()],
         };
-        for &op in &topo {
+        for ti in 0..self.plan.topo_order().len() {
+            let op = self.plan.topo_order()[ti];
             let suspended = self.is_suspended(op);
             // Chain replay stalls the whole op (its state is not yet
             // reconstructed anywhere) — attributed as failure pause.
             let replaying = self.recovery_replays.contains_key(&op);
-            let paused = inflight.get(&op).copied().unwrap_or(0.0);
-            for site in self.physical.placement(op).sites() {
-                let failed = self.site_failed(site, t0);
+            let paused = sc.paused[op.index()];
+            for slot in self.op_groups[op.index()].clone() {
+                let failed = self.site_failed(self.groups[slot].site, t0);
                 if !(failed || suspended || replaying) {
-                    self.process_group(op, site, paused, t0, dt, &mut sums);
+                    self.process_group(slot, paused, t0, dt, &mut sums, &mut sc);
                     continue;
                 }
                 // Blocked: the group only marks backpressure; processing
                 // and emission are skipped.
-                let Some(g) = self.groups.get_mut(&(op, site)) else {
-                    continue;
-                };
+                let g = &mut self.groups[slot];
                 if !g.backpressured {
                     g.backpressured = true;
                     if let Some(em) = &self.em {
@@ -3266,26 +3526,29 @@ impl Engine {
                 }
             }
         }
-        self.state_step(&sums.per_op_processed);
+        self.state_step(&sc.per_op_processed);
+        self.scratch = sc;
         (sums.delivered, sums.delay_sum)
     }
 
-    /// Processes one deployed, unblocked (op, site) group over the tick
+    /// Processes the deployed, unblocked group in `slot` over the tick
     /// `[t0, t0 + dt)` and applies its effects: run-metric deliveries
     /// and instrument counts, xray flow charges, and pushes into its
     /// own outgoing edge buffers. `paused` is the op's key-weight share
     /// held by in-flight partition slices (0 when none).
     fn process_group(
         &mut self,
-        op: OpId,
-        site: SiteId,
+        slot: usize,
         paused: f64,
         t0: f64,
         dt: f64,
         sums: &mut TickSums,
+        sc: &mut TickScratch,
     ) {
         let t1 = t0 + dt;
         let xray = self.xray.is_some();
+        let g = &mut self.groups[slot];
+        let (op, site) = (g.op, g.site);
         // Straggler slowdown for this site, less the paused share.
         let compute_factor = if paused > 0.0 {
             self.script.compute_factor(site, SimTime(t0)) * (1.0 - paused.min(1.0))
@@ -3297,7 +3560,6 @@ impl Engine {
         let is_sink = spec.kind().is_sink();
         let is_source = spec.kind().is_source();
         let windowed = spec.kind().window_s().is_some();
-        let mut g = self.groups.remove(&(op, site)).expect("deployed group");
         // The group newly entered backpressure this tick (at most one
         // counter increment per group).
         let mut backpressure = false;
@@ -3322,7 +3584,8 @@ impl Engine {
             // emits nothing.
             let redo_n = g.redo.len_events().min(capacity);
             if redo_n > 0.0 {
-                g.redo.take(redo_n);
+                g.redo.take_into(redo_n, &mut sc.cohorts);
+                sc.cohorts.clear();
                 capacity -= redo_n;
             }
             // Output-buffer space limits processing (this is the
@@ -3352,9 +3615,9 @@ impl Engine {
                 backpressure = true;
             }
             if n > 0.0 {
-                let mut cohorts = g.input.take(n);
+                g.input.take_into(n, &mut sc.cohorts);
                 if xray {
-                    for c in &mut cohorts {
+                    for c in &mut sc.cohorts {
                         let comps =
                             close_queue_interval(c, g.pause_mig_cum, g.pause_fail_cum, t1, dt);
                         for (acc, v) in node_comps.iter_mut().zip(comps) {
@@ -3366,14 +3629,15 @@ impl Engine {
                 }
                 g.processed += n;
                 processed = n;
-                g.since_ckpt.push_all(cohorts.iter().copied());
+                g.since_ckpt.push_all(sc.cohorts.iter().copied());
                 if windowed {
                     let w = spec.kind().window_s().expect("windowed op");
-                    for c in cohorts {
+                    for c in sc.cohorts.drain(..) {
                         g.absorb_into_window(c, w, sigma, xray, t1);
                     }
                 } else {
-                    g.pending_out.push_all(scaled_iter(&cohorts, sigma));
+                    g.pending_out.push_all(scaled_iter(&sc.cohorts, sigma));
+                    sc.cohorts.clear();
                 }
             }
             // --- event-time window firing ---
@@ -3396,7 +3660,6 @@ impl Engine {
             }
         }
         // --- emission: pending_out → edge buffers / sink ---
-        let downstream = self.plan.downstream(op);
         let pending_len = g.pending_out.len_events();
         let emit_n = if pending_len <= 0.0 {
             0.0
@@ -3408,36 +3671,25 @@ impl Engine {
             // as its source), so they still hold their pre-tick value.
             let mut limit = f64::INFINITY;
             if !is_source {
-                for &d in downstream {
-                    let placement = self.physical.placement(d);
-                    for (sd, _) in placement.iter() {
-                        let share = placement.share(sd);
-                        if share <= 0.0 {
-                            continue;
-                        }
-                        let key = EdgeKey {
-                            from_op: op,
-                            from_site: site,
-                            to_op: d,
-                            to_site: sd,
-                        };
-                        let used = self.edges.get(&key).map(|q| q.len_events()).unwrap_or(0.0);
-                        let free = (self.cfg.edge_buffer_events - used).max(0.0);
-                        limit = limit.min(free / share);
+                for &(e, share) in &self.out_edges[g.out.clone()] {
+                    if share <= 0.0 {
+                        continue;
                     }
+                    let used = self.edges[e].queue.len_events();
+                    let free = (self.cfg.edge_buffer_events - used).max(0.0);
+                    limit = limit.min(free / share);
                 }
             }
             pending_len.min(limit)
         };
-        let mut emitted = Vec::new();
         if emit_n > 0.0 {
-            emitted = g.pending_out.take(emit_n);
+            g.pending_out.take_into(emit_n, &mut sc.emitted);
             if xray {
                 // Sources charge their generation tick as service;
                 // everyone else waited here only because a downstream
                 // buffer was full.
                 let sdt = if is_source { dt } else { 0.0 };
-                for c in &mut emitted {
+                for c in &mut sc.emitted {
                     let comps = close_pending_interval(c, t1, sdt);
                     for (acc, v) in node_comps.iter_mut().zip(comps) {
                         *acc += v * c.count;
@@ -3450,9 +3702,8 @@ impl Engine {
                 backpressure = true;
             }
         }
-        self.groups.insert((op, site), g);
         // --- apply the group's effects ---
-        if let Some(p) = sums.per_op_processed.get_mut(op.index()) {
+        if let Some(p) = sc.per_op_processed.get_mut(op.index()) {
             *p += processed;
         }
         if let Some(em) = &self.em {
@@ -3470,7 +3721,7 @@ impl Engine {
             let em = self.em.as_ref();
             let sink_hist = em.and_then(|em| em.delivery[op.index()].as_ref());
             let comp_hists = em.and_then(|em| em.xray_comps[op.index()].as_ref());
-            for c in &emitted {
+            for c in &sc.emitted {
                 let d = c.delay_at(SimTime(t1));
                 sums.delivered += c.count;
                 sums.delay_sum += d * c.count;
@@ -3501,22 +3752,13 @@ impl Engine {
         if emit_n > 0.0 && !is_sink {
             // Each edge receives the emitted cohorts scaled by its
             // share, in (downstream op, placement site) order.
-            for &d in downstream {
-                let placement = self.physical.placement(d);
-                for (sd, _) in placement.iter() {
-                    let key = EdgeKey {
-                        from_op: op,
-                        from_site: site,
-                        to_op: d,
-                        to_site: sd,
-                    };
-                    self.edges
-                        .entry(key)
-                        .or_default()
-                        .push_all(scaled_iter(&emitted, placement.share(sd)));
-                }
+            for &(e, share) in &self.out_edges[g.out.clone()] {
+                self.edges[e]
+                    .queue
+                    .push_all(scaled_iter(&sc.emitted, share));
             }
         }
+        sc.emitted.clear();
     }
 
     /// Post-tick partitioned-state accounting: re-syncs each store's
@@ -3524,16 +3766,10 @@ impl Engine {
     /// tick's writes against a weight-sampled partition. A single
     /// branch under `StateModel::Coarse`.
     fn state_step(&mut self, per_op_processed: &[f64]) {
-        if self.stores.is_empty() {
-            return;
-        }
-        let ops: Vec<OpId> = self.stores.keys().copied().collect();
-        for op in ops {
-            let total: f64 = self
-                .groups
+        for (&op, store) in &mut self.stores {
+            let total: f64 = self.groups[self.op_groups[op.index()].clone()]
                 .iter()
-                .filter(|((o, _), _)| *o == op)
-                .map(|(_, g)| g.state_mb)
+                .map(|g| g.state_mb)
                 .sum();
             let write_bytes = match self.plan.op(op).state() {
                 StateModel::Stateless => 0.0,
@@ -3543,7 +3779,6 @@ impl Engine {
                 StateModel::Window { bytes_per_event } => bytes_per_event,
             };
             let mb = per_op_processed.get(op.index()).copied().unwrap_or(0.0) * write_bytes / 1e6;
-            let store = self.stores.get_mut(&op).expect("key just listed");
             store.set_total_mb(total);
             store.record_writes_sampled(mb);
         }
@@ -3554,12 +3789,12 @@ impl Engine {
             return 0.0;
         };
         let mut dropped = 0.0;
-        for g in self.groups.values_mut() {
+        for g in &mut self.groups {
             dropped += g.input.drop_late(SimTime(t1), slo);
             dropped += g.pending_out.drop_late(SimTime(t1), slo);
         }
-        for q in self.edges.values_mut() {
-            dropped += q.drop_late(SimTime(t1), slo);
+        for e in &mut self.edges {
+            dropped += e.queue.drop_late(SimTime(t1), slo);
         }
         dropped
     }
@@ -3720,6 +3955,35 @@ mod tests {
         let g2 = eng.metrics().total_generated() - g1;
         assert!((g1 - 49_000.0).abs() < 1500.0, "g1 {g1}");
         assert!(g2 > 95_000.0, "g2 {g2}");
+    }
+
+    #[test]
+    fn generation_matches_workload_factor_bitwise() {
+        let (net, edge, dc) = world(10.0);
+        let plan = linear_plan(edge, 1000.0, 5.0);
+        // Three series on the source, so the product's rounding depends
+        // on the order they are multiplied in, plus another site's
+        // series (ignored) and a global one.
+        let series = |w: f64| {
+            FactorSeries::from_samples(
+                1.0,
+                (0..40).map(|i| 0.7 + (i as f64 * w).sin().abs()).collect(),
+            )
+        };
+        let script = DynamicsScript::none()
+            .with_workload(edge, series(0.37))
+            .with_workload(dc, series(0.91))
+            .with_workload(edge, series(1.13))
+            .with_workload(edge, series(2.71))
+            .with_global_workload(series(0.53));
+        let mut eng = engine_for(net, script.clone(), plan, dc);
+        eng.run(30.0);
+        let dt = eng.cfg.dt;
+        for (i, row) in eng.metrics().ticks().iter().enumerate() {
+            let t0 = SimTime(i as f64 * dt);
+            let want = 1000.0 * script.workload_factor(edge, t0) * dt;
+            assert_eq!(row.generated.to_bits(), want.to_bits(), "tick {i}");
+        }
     }
 
     #[test]

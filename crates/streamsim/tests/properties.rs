@@ -478,6 +478,68 @@ mod cohort_queue_oracle {
         }
     }
 
+    /// Runs `steps` random operations on `q` and the reference `o`:
+    /// push bursts that cross the coalescing threshold, takes, late
+    /// drops and drains, checking after each that the two agree bit for
+    /// bit. With `take_into`, takes append onto a buffer still holding
+    /// the previous take's cohorts, which must stay in front unchanged.
+    fn exercise(
+        g: &mut Gen,
+        q: &mut CohortQueue,
+        o: &mut OracleQueue,
+        clock: &mut f64,
+        steps: usize,
+        stamp_rate: f64,
+        take_into: bool,
+    ) -> Result<(), String> {
+        let mut buf: Vec<Cohort> = Vec::new();
+        for step in 0..steps {
+            let op = g.next() % 20;
+            if op < 14 {
+                // A burst of pushes; repeated births merge into the
+                // tail, long bursts trigger coalescing.
+                let n = (g.next() % 3000) as usize;
+                for _ in 0..n {
+                    if g.unit() < 0.7 {
+                        *clock += g.unit();
+                    }
+                    let c = cohort(g, *clock, stamp_rate);
+                    q.push(c);
+                    o.push(c);
+                }
+            } else if op < 18 {
+                let n = o.total * g.unit() * 0.5;
+                let want = o.take(n);
+                if take_into {
+                    let kept = buf.len();
+                    let before = buf.clone();
+                    q.take_into(n, &mut buf);
+                    prop_assert!(
+                        same(&buf[..kept], &before) && same(&buf[kept..], &want),
+                        "take_into({n}) differs at step {step}"
+                    );
+                    buf.drain(..kept);
+                } else {
+                    prop_assert!(same(&q.take(n), &want), "take({n}) differs at step {step}");
+                }
+            } else if op < 19 {
+                let max_delay = 50.0 * g.unit();
+                let now = SimTime(*clock);
+                let (got, want) = (q.drop_late(now, max_delay), o.drop_late(now, max_delay));
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            } else {
+                prop_assert!(same(&q.drain(), &o.drain()), "drain differs at step {step}");
+            }
+            prop_assert_eq!(q.len_events().to_bits(), o.total.to_bits());
+            prop_assert_eq!(q.len_cohorts(), o.cohorts.len());
+            prop_assert_eq!(
+                q.oldest_birth().map(|b| b.secs().to_bits()),
+                o.cohorts.front().map(|c| c.birth.secs().to_bits())
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -496,40 +558,56 @@ mod cohort_queue_oracle {
             let mut q = CohortQueue::new();
             let mut o = OracleQueue::default();
             let mut clock = 0.0;
-            for step in 0..80 {
-                let op = g.next() % 20;
-                if op < 14 {
-                    // A burst of pushes; repeated births merge into
-                    // the tail, long bursts trigger coalescing.
-                    let n = (g.next() % 3000) as usize;
-                    for _ in 0..n {
-                        if g.unit() < 0.7 {
-                            clock += g.unit();
-                        }
-                        let c = cohort(&mut g, clock, stamp_rate);
-                        q.push(c);
-                        o.push(c);
-                    }
-                } else if op < 18 {
-                    let n = o.total * g.unit() * 0.5;
-                    let (got, want) = (q.take(n), o.take(n));
-                    prop_assert!(same(&got, &want), "take({n}) differs at step {step}");
-                } else if op < 19 {
-                    let max_delay = 50.0 * g.unit();
-                    let now = SimTime(clock);
-                    let (got, want) = (q.drop_late(now, max_delay), o.drop_late(now, max_delay));
-                    prop_assert_eq!(got.to_bits(), want.to_bits());
-                } else {
-                    prop_assert!(same(&q.drain(), &o.drain()), "drain differs at step {step}");
-                }
-                prop_assert_eq!(q.len_events().to_bits(), o.total.to_bits());
-                prop_assert_eq!(q.len_cohorts(), o.cohorts.len());
-                prop_assert_eq!(
-                    q.oldest_birth().map(|b| b.secs().to_bits()),
-                    o.cohorts.front().map(|c| c.birth.secs().to_bits())
-                );
-            }
+            exercise(&mut g, &mut q, &mut o, &mut clock, 80, stamp_rate, false)?;
             prop_assert!(o.coalesces >= 3, "only {} coalesces", o.coalesces);
+            prop_assert!(same(&q.drain(), &o.drain()));
+        }
+
+        /// `take_into` onto a non-empty buffer appends exactly the
+        /// cohorts `take` returns, leaving the buffer's contents alone.
+        #[test]
+        fn take_into_appends_what_take_returns(
+            seed in 0u64..u64::MAX,
+            stamp_rate in 0.0f64..0.002,
+            stamped_run in proptest::bool::ANY,
+        ) {
+            let stamp_rate = if stamped_run { stamp_rate } else { 0.0 };
+            let mut g = Gen(seed);
+            let mut q = CohortQueue::new();
+            let mut o = OracleQueue::default();
+            let mut clock = 0.0;
+            exercise(&mut g, &mut q, &mut o, &mut clock, 60, stamp_rate, true)?;
+            prop_assert!(same(&q.drain(), &o.drain()));
+        }
+
+        /// After `clear`, a queue in lean or full (stamped) storage
+        /// behaves bit for bit like `CohortQueue::new()` under any later
+        /// push/take sequence.
+        #[test]
+        fn cleared_queue_behaves_like_a_new_one(
+            seed in 0u64..u64::MAX,
+            stamp_rate in 0.0f64..0.002,
+            full in proptest::bool::ANY,
+        ) {
+            let mut g = Gen(seed);
+            let mut q = CohortQueue::new();
+            let mut clock = 0.0;
+            for _ in 0..(g.next() % 6000) {
+                clock += g.unit();
+                q.push(cohort(&mut g, clock, 0.0));
+            }
+            if full {
+                // A stamped ledger turns the storage full.
+                let mut c = Cohort::new(SimTime(clock), 1.0);
+                c.xray.queue = 0.5;
+                q.push(c);
+            }
+            q.take(q.len_events() * g.unit());
+            q.clear();
+            prop_assert_eq!(q.len_events().to_bits(), 0.0f64.to_bits());
+            prop_assert_eq!(q.len_cohorts(), 0);
+            let mut o = OracleQueue::default();
+            exercise(&mut g, &mut q, &mut o, &mut clock, 40, stamp_rate, false)?;
             prop_assert!(same(&q.drain(), &o.drain()));
         }
     }

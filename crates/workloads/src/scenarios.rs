@@ -705,6 +705,9 @@ pub struct SkewedStateResult {
     pub label: String,
     /// Full recording.
     pub metrics: RunMetrics,
+    /// End-to-end selectivity of the plan, for processing-ratio
+    /// normalization.
+    pub e2e_selectivity: f64,
     /// Checkpoint/transfer timeline (empty under the coarse model).
     pub timeline: wasp_state::timeline::StateTimeline,
     /// Overhead breakdown of the adaptation, when one happened.
@@ -737,6 +740,7 @@ pub fn run_skewed_state_experiment(
     let sink = tb.data_centers()[0];
     let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
     plan = override_state(plan, state_mb);
+    let e2e_selectivity = plan.end_to_end_selectivity();
     let net0 = tb.static_network();
     let physical = initial_deployment(&plan, &net0, 0.8)
         .unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
@@ -783,6 +787,7 @@ pub fn run_skewed_state_experiment(
             "Coarse".to_string()
         },
         metrics,
+        e2e_selectivity,
         timeline,
         breakdown,
         downtime_p95_s,
@@ -823,6 +828,9 @@ pub struct CompactionRunResult {
     pub label: String,
     /// Full recording.
     pub metrics: RunMetrics,
+    /// End-to-end selectivity of the plan, for processing-ratio
+    /// normalization.
+    pub e2e_selectivity: f64,
     /// Checkpoint/compaction/replay timeline.
     pub timeline: wasp_state::timeline::StateTimeline,
     /// 95th-percentile modeled recovery replay over the scripted
@@ -864,6 +872,7 @@ pub fn run_compaction_experiment(
     let sink = tb.data_centers()[0];
     let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
     plan = override_state(plan, state_mb);
+    let e2e_selectivity = plan.end_to_end_selectivity();
     let net = tb.static_network();
     let physical =
         initial_deployment(&plan, &net, 0.8).unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
@@ -921,6 +930,7 @@ pub fn run_compaction_experiment(
     CompactionRunResult {
         label,
         metrics,
+        e2e_selectivity,
         timeline,
         replay_p95_s,
         compaction_mb,
@@ -966,6 +976,31 @@ mod tests {
                 build_engine(kind, &tb, DynamicsScript::none(), EngineConfig::default());
             assert!(e2e > 0.0, "{}", kind.name());
             assert!(engine.physical().total_tasks() >= 10);
+        }
+    }
+
+    #[test]
+    fn state_experiments_report_the_plan_selectivity() {
+        let cfg = quick_cfg();
+        let split = run_skewed_split_experiment(60.0, &cfg);
+        let compaction = run_compaction_experiment(
+            wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
+            48.0,
+            &cfg,
+        );
+        for (name, m, e2e) in [
+            ("skewed split", &split.metrics, split.e2e_selectivity),
+            (
+                "compaction",
+                &compaction.metrics,
+                compaction.e2e_selectivity,
+            ),
+        ] {
+            let ratio = m.total_delivered() / (m.total_generated() * e2e);
+            assert!(
+                (0.5..=1.02).contains(&ratio),
+                "{name}: delivered / (generated × selectivity) = {ratio}"
+            );
         }
     }
 
