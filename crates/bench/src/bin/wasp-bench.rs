@@ -476,9 +476,12 @@ fn main() {
             "--out" => out = it.next().unwrap_or_else(|| usage()),
             "--baseline" => baseline = Some(it.next().unwrap_or_else(|| usage())),
             "--gate" => {
+                // A NaN gate would compare false against every change
+                // and pass any regression.
                 gate_pct = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|g: &f64| g.is_finite() && *g >= 0.0)
                     .unwrap_or_else(|| usage())
             }
             "--csv" => csv_out = Some(it.next().unwrap_or_else(|| usage())),

@@ -20,6 +20,34 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use wasp_metrics::{Gauge, MetricsHub};
 
+/// Working space of [`Network::allocate_into`], kept by a caller that
+/// allocates bandwidth repeatedly (the engine, once per tick).
+#[derive(Debug, Clone, Default)]
+pub struct AllocScratch {
+    /// Resource slot per directed pair (`from * sites + to`); `UNUSED`
+    /// between calls.
+    pair_slot: Vec<usize>,
+    /// Resource slot per egress-capped site; `UNUSED` between calls.
+    egress_slot: Vec<usize>,
+    /// Resource slot per ingress-capped site; `UNUSED` between calls.
+    ingress_slot: Vec<usize>,
+    /// Capacity per resource slot.
+    capacity: Vec<f64>,
+    /// Rate per flow (Mbps) while filling.
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// (resource, flow) memberships in flow order.
+    uses: Vec<(usize, usize)>,
+    /// Per resource, the start of its members in `members`.
+    start: Vec<usize>,
+    members: Vec<usize>,
+    fill: Vec<usize>,
+    /// Flows not yet frozen in the current filling round.
+    active: Vec<usize>,
+    /// The call's result.
+    rates: Vec<Mbps>,
+}
+
 /// A flow's bandwidth demand between two sites.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowDemand {
@@ -229,15 +257,50 @@ impl Network {
     /// Intra-site flows (`from == to`) are unconstrained by the network
     /// and always receive their full demand.
     pub fn allocate(&self, flows: &[FlowDemand], t: SimTime) -> Vec<Mbps> {
+        self.allocate_into(flows, t, &mut AllocScratch::default())
+            .to_vec()
+    }
+
+    /// [`Network::allocate`] over the caller's working space `sc`: a
+    /// caller that keeps `sc` from call to call makes no heap
+    /// allocation once its buffers have grown to the flow count. The
+    /// returned rates live in `sc` until the next call.
+    pub fn allocate_into<'s>(
+        &self,
+        flows: &[FlowDemand],
+        t: SimTime,
+        sc: &'s mut AllocScratch,
+    ) -> &'s [Mbps] {
+        let AllocScratch {
+            pair_slot,
+            egress_slot,
+            ingress_slot,
+            capacity,
+            rate,
+            frozen,
+            uses,
+            start,
+            members,
+            fill,
+            active,
+            rates,
+        } = sc;
         // Resources (pair links, egress caps, ingress caps) get dense
         // slots in first-use order. Their members are listed in flow
         // order, so every `used` sum below adds in one fixed order.
+        // The slot tables hold `UNUSED` between calls: this call resets
+        // the entries it sets before returning.
         const UNUSED: usize = usize::MAX;
         let m = self.topology.num_sites();
-        let mut pair_slot = vec![UNUSED; m * m];
-        let mut egress_slot = vec![UNUSED; m];
-        let mut ingress_slot = vec![UNUSED; m];
-        let mut capacity: Vec<f64> = Vec::new();
+        if pair_slot.len() != m * m {
+            pair_slot.clear();
+            pair_slot.resize(m * m, UNUSED);
+            egress_slot.clear();
+            egress_slot.resize(m, UNUSED);
+            ingress_slot.clear();
+            ingress_slot.resize(m, UNUSED);
+        }
+        capacity.clear();
         fn slot(s: &mut usize, capacity: &mut Vec<f64>, cap: impl FnOnce() -> f64) -> usize {
             if *s == UNUSED {
                 *s = capacity.len();
@@ -247,10 +310,12 @@ impl Network {
         }
 
         let n = flows.len();
-        let mut rate = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
+        rate.clear();
+        rate.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
         // (resource, flow) memberships in flow order.
-        let mut uses: Vec<(usize, usize)> = Vec::with_capacity(3 * n);
+        uses.clear();
         for (i, f) in flows.iter().enumerate() {
             if f.from == f.to {
                 // Intra-site flows are satisfied immediately.
@@ -259,28 +324,37 @@ impl Network {
                 continue;
             }
             let (a, b) = (f.from.index(), f.to.index());
-            let pair = slot(&mut pair_slot[a * m + b], &mut capacity, || {
+            let pair = slot(&mut pair_slot[a * m + b], capacity, || {
                 self.available(f.from, f.to, t).0
             });
             uses.push((pair, i));
             if let Some(cap) = self.egress_cap[a] {
-                uses.push((slot(&mut egress_slot[a], &mut capacity, || cap.0), i));
+                uses.push((slot(&mut egress_slot[a], capacity, || cap.0), i));
             }
             if let Some(cap) = self.ingress_cap[b] {
-                uses.push((slot(&mut ingress_slot[b], &mut capacity, || cap.0), i));
+                uses.push((slot(&mut ingress_slot[b], capacity, || cap.0), i));
             }
         }
+        for f in flows.iter().filter(|f| f.from != f.to) {
+            let (a, b) = (f.from.index(), f.to.index());
+            pair_slot[a * m + b] = UNUSED;
+            egress_slot[a] = UNUSED;
+            ingress_slot[b] = UNUSED;
+        }
         // Members of resource r are `members[start[r]..start[r + 1]]`.
-        let mut start = vec![0usize; capacity.len() + 1];
-        for &(r, _) in &uses {
+        start.clear();
+        start.resize(capacity.len() + 1, 0);
+        for &(r, _) in uses.iter() {
             start[r + 1] += 1;
         }
         for r in 0..capacity.len() {
             start[r + 1] += start[r];
         }
-        let mut members = vec![0usize; uses.len()];
-        let mut fill = start.clone();
-        for &(r, i) in &uses {
+        members.clear();
+        members.resize(uses.len(), 0);
+        fill.clear();
+        fill.extend_from_slice(start);
+        for &(r, i) in uses.iter() {
             members[fill[r]] = i;
             fill[r] += 1;
         }
@@ -290,7 +364,8 @@ impl Network {
         // lock-step until a flow hits its demand or a resource
         // saturates; freeze and repeat.
         loop {
-            let active: Vec<usize> = (0..n).filter(|&i| !frozen[i]).collect();
+            active.clear();
+            active.extend((0..n).filter(|&i| !frozen[i]));
             if active.is_empty() {
                 break;
             }
@@ -306,24 +381,24 @@ impl Network {
                 }
             }
             // Max increment before some active flow reaches its demand.
-            for &i in &active {
+            for &i in active.iter() {
                 inc = inc.min((flows[i].demand.0.max(0.0) - rate[i]).max(0.0));
             }
             if !inc.is_finite() {
                 // No binding resource: all active flows get their
                 // demand.
-                for &i in &active {
+                for &i in active.iter() {
                     rate[i] = flows[i].demand.0.max(0.0);
                     frozen[i] = true;
                 }
                 break;
             }
-            for &i in &active {
+            for &i in active.iter() {
                 rate[i] += inc;
             }
             // Freeze demand-satisfied flows.
             let mut any_frozen = false;
-            for &i in &active {
+            for &i in active.iter() {
                 if rate[i] + 1e-12 >= flows[i].demand.0.max(0.0) {
                     frozen[i] = true;
                     any_frozen = true;
@@ -349,15 +424,17 @@ impl Network {
             if !any_frozen {
                 // Numerical safety: freeze everything to guarantee
                 // termination (should not normally trigger).
-                for &i in &active {
+                for &i in active.iter() {
                     frozen[i] = true;
                 }
             }
         }
         if self.hub.is_enabled() {
-            self.record_allocation(flows, &rate, t);
+            self.record_allocation(flows, rate, t);
         }
-        rate.into_iter().map(Mbps).collect()
+        rates.clear();
+        rates.extend(rate.iter().map(|&r| Mbps(r)));
+        rates
     }
 
     /// Records the just-computed allocation into per-directed-link

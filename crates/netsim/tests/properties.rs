@@ -143,7 +143,7 @@ proptest! {
 mod allocate_oracle {
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
-    use wasp_netsim::network::{FlowDemand, Network};
+    use wasp_netsim::network::{AllocScratch, FlowDemand, Network};
     use wasp_netsim::site::{SiteId, SiteKind};
     use wasp_netsim::topology::TopologyBuilder;
     use wasp_netsim::trace::FactorSeries;
@@ -280,7 +280,8 @@ mod allocate_oracle {
         /// egress/ingress caps, pair and global factors, scripted and
         /// transient cross traffic, and flow sets mixing inter- and
         /// intra-site flows: every rate equals the reference bit for
-        /// bit.
+        /// bit, from `allocate` and from `allocate_into` with one
+        /// workspace kept across three flow sets.
         #[test]
         fn allocate_matches_reference_bitwise(seed in 0u64..u64::MAX) {
             let mut g = Gen(seed);
@@ -333,18 +334,29 @@ mod allocate_oracle {
             if g.unit() < 0.3 {
                 net.set_global_factor(FactorSeries::constant(0.3 + g.unit()));
             }
-            let flows: Vec<FlowDemand> = (0..1 + g.below(40))
-                .map(|_| {
-                    let demand = if g.unit() < 0.05 { 0.0 } else { 60.0 * g.unit() };
-                    FlowDemand::new(sites[g.below(m)], sites[g.below(m)], Mbps(demand))
-                })
-                .collect();
-            let got: Vec<u64> = net.allocate(&flows, t).iter().map(|r| r.0.to_bits()).collect();
-            let want: Vec<u64> = reference(&net, &egress, &ingress, &flows, t)
-                .iter()
-                .map(|r| r.to_bits())
-                .collect();
-            prop_assert_eq!(got, want);
+            // Several flow sets through one kept workspace: each call
+            // must leave it as it found it.
+            let mut scratch = AllocScratch::default();
+            for _ in 0..3 {
+                let flows: Vec<FlowDemand> = (0..1 + g.below(40))
+                    .map(|_| {
+                        let demand = if g.unit() < 0.05 { 0.0 } else { 60.0 * g.unit() };
+                        FlowDemand::new(sites[g.below(m)], sites[g.below(m)], Mbps(demand))
+                    })
+                    .collect();
+                let want: Vec<u64> = reference(&net, &egress, &ingress, &flows, t)
+                    .iter()
+                    .map(|r| r.to_bits())
+                    .collect();
+                let got: Vec<u64> = net.allocate(&flows, t).iter().map(|r| r.0.to_bits()).collect();
+                prop_assert_eq!(&got, &want);
+                let kept: Vec<u64> = net
+                    .allocate_into(&flows, t, &mut scratch)
+                    .iter()
+                    .map(|r| r.0.to_bits())
+                    .collect();
+                prop_assert_eq!(kept, want);
+            }
         }
     }
 }

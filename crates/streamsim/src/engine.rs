@@ -23,7 +23,7 @@
 //! * optional **late-event dropping** against an SLO (the Degrade
 //!   baseline).
 
-use crate::cohort::{scaled_iter, Cohort, CohortQueue};
+use crate::cohort::{Cohort, CohortBatch, CohortQueue};
 use crate::control::{ControlMetrics, ControlPlaneState, InFlightCommand};
 use crate::ids::OpId;
 use crate::metrics::{FailureEvent, QuerySnapshot, RunMetrics, StageObs, TickRow};
@@ -38,7 +38,7 @@ use wasp_controlplane::config::LossyControlConfig;
 use wasp_metrics::{Counter, Gauge, Histogram, MetricsHub};
 use wasp_netsim::control::ControlVerdict;
 use wasp_netsim::dynamics::DynamicsScript;
-use wasp_netsim::network::{FlowDemand, Network};
+use wasp_netsim::network::{AllocScratch, FlowDemand, Network};
 use wasp_netsim::site::SiteId;
 use wasp_netsim::transit::TransitLedger;
 use wasp_netsim::units::{Mbps, MegaBytes, SimTime};
@@ -405,15 +405,12 @@ impl Group {
         }
     }
 
-    /// Drains all open windows into cohorts (one per window, carrying
-    /// the window's max event time), e.g. to hand off on redeploy.
-    fn drain_windows(&mut self, xray: bool, now: f64) -> Vec<Cohort> {
-        let out = self
-            .window_buf
-            .iter()
-            .map(|(_, a)| a)
-            .filter(|a| a.count > 0.0)
-            .map(|a| Cohort {
+    /// Drains all open windows into `out` as cohorts (one per window,
+    /// carrying the window's max event time), e.g. to hand off on
+    /// redeploy.
+    fn drain_windows(&mut self, xray: bool, now: f64, out: &mut CohortBatch) {
+        for (_, a) in self.window_buf.iter().filter(|(_, a)| a.count > 0.0) {
+            out.push(Cohort {
                 birth: SimTime(a.max_birth),
                 count: a.count,
                 net_latency: a.lat_sum / a.count,
@@ -422,10 +419,26 @@ impl Group {
                 } else {
                     DelayLedger::new(a.max_birth)
                 },
-            })
-            .collect();
+            });
+        }
         self.window_buf.clear();
-        out
+    }
+
+    /// Restores carried open-window contents, scaled by `share`,
+    /// straight into the window accumulator: they are *state*, and
+    /// re-processing them as input would double-charge the CPU.
+    fn absorb_scaled(
+        &mut self,
+        cohorts: impl Iterator<Item = Cohort>,
+        share: f64,
+        window_s: f64,
+        sigma: f64,
+        xray: bool,
+        now: f64,
+    ) {
+        for c in cohorts.filter_map(|c| c.scaled(share)) {
+            self.absorb_into_window(c, window_s, sigma, xray, now);
+        }
     }
 }
 
@@ -498,16 +511,15 @@ struct TickSums {
 }
 
 /// Buffers the tick phases reuse from tick to tick, so a steady-state
-/// tick allocates little beyond `Network::allocate`'s working vectors
-/// and queues outgrowing their capacity. Vectors of per-tick results are cleared
-/// before they are filled; the two cohort buffers are emptied after
-/// each use.
+/// tick allocates little beyond queues outgrowing their capacity.
+/// Vectors of per-tick results are cleared before they are filled;
+/// the cohort batch is refilled by every take.
 #[derive(Debug, Default)]
 struct TickScratch {
-    /// Cohorts taken from one queue on their way into another.
-    cohorts: Vec<Cohort>,
-    /// Cohorts a group emits this tick.
-    emitted: Vec<Cohort>,
+    /// Cohorts taken from one queue on their way into others.
+    batch: CohortBatch,
+    /// `Network::allocate_into`'s working space.
+    alloc: AllocScratch,
     /// `transfer_step` candidates: (edge slot, destination group slot,
     /// queued events), in edge key order.
     candidates: Vec<(usize, usize, f64)>,
@@ -551,22 +563,22 @@ struct TickScratch {
 /// Returns per-event seconds charged per component (for the flow
 /// view).
 fn close_queue_interval(
-    c: &mut Cohort,
+    led: &mut DelayLedger,
     pause_mig_cum: f64,
     pause_fail_cum: f64,
     until: f64,
     service_dt: f64,
 ) -> [f64; 6] {
-    let total = (until - c.xray.attributed_until).max(0.0);
-    let mig = (pause_mig_cum - c.xray.mark_pause).clamp(0.0, total);
-    let fail = (pause_fail_cum - c.xray.mark_fail).clamp(0.0, (total - mig).max(0.0));
+    let total = (until - led.attributed_until).max(0.0);
+    let mig = (pause_mig_cum - led.mark_pause).clamp(0.0, total);
+    let fail = (pause_fail_cum - led.mark_fail).clamp(0.0, (total - mig).max(0.0));
     let service = service_dt.clamp(0.0, (total - mig - fail).max(0.0));
     let queue = (total - mig - fail - service).max(0.0);
-    c.xray.charge(Component::Queue, queue);
-    c.xray.charge(Component::Service, service);
-    c.xray.charge(Component::Migration, mig);
-    c.xray.charge(Component::Control, fail);
-    c.xray.attributed_until = c.xray.attributed_until.max(until);
+    led.charge(Component::Queue, queue);
+    led.charge(Component::Service, service);
+    led.charge(Component::Migration, mig);
+    led.charge(Component::Control, fail);
+    led.attributed_until = led.attributed_until.max(until);
     let mut comps = [0.0; 6];
     comps[Component::Queue as usize] = queue;
     comps[Component::Service as usize] = service;
@@ -578,17 +590,49 @@ fn close_queue_interval(
 /// Closes a cohort's pending-output wait up to `until`: a source
 /// counts up to `service_dt` as its emission service, everything else
 /// is a stall behind a full downstream buffer.
-fn close_pending_interval(c: &mut Cohort, until: f64, service_dt: f64) -> [f64; 6] {
-    let total = (until - c.xray.attributed_until).max(0.0);
+fn close_pending_interval(led: &mut DelayLedger, until: f64, service_dt: f64) -> [f64; 6] {
+    let total = (until - led.attributed_until).max(0.0);
     let service = service_dt.clamp(0.0, total);
     let stall = (total - service).max(0.0);
-    c.xray.charge(Component::Service, service);
-    c.xray.charge(Component::Backpressure, stall);
-    c.xray.attributed_until = c.xray.attributed_until.max(until);
+    led.charge(Component::Service, service);
+    led.charge(Component::Backpressure, stall);
+    led.attributed_until = led.attributed_until.max(until);
     let mut comps = [0.0; 6];
     comps[Component::Service as usize] = service;
     comps[Component::Backpressure as usize] = stall;
     comps
+}
+
+/// Zeroes a carried ledger's pause marks: the groups it moves into
+/// restart their pause counters from zero.
+fn clear_marks(led: &mut DelayLedger) {
+    led.mark_pause = 0.0;
+    led.mark_fail = 0.0;
+}
+
+/// Appends `cohorts` to a plan switch's replay as equivalent source
+/// events: each count divided by `factor` (the op's events per source
+/// event; nothing is added when it is not above 1e-12), the network
+/// latency dropped. With xray on (`xray_now`), the event's whole
+/// history is thrown away and re-done because of the switch: the
+/// ledger is rebased and the lost age booked as migration cost.
+fn add_replay(
+    replay: &mut CohortBatch,
+    cohorts: impl Iterator<Item = Cohort>,
+    factor: f64,
+    xray_now: Option<f64>,
+) {
+    if factor > 1e-12 {
+        for mut c in cohorts {
+            c.count /= factor;
+            c.net_latency = 0.0;
+            if let Some(now) = xray_now {
+                c.xray = DelayLedger::new(c.birth.secs());
+                c.xray.advance(Component::Migration, now);
+            }
+            replay.push(c);
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -2020,45 +2064,42 @@ impl Engine {
             .collect();
         let mut carried_input = CohortQueue::new();
         let mut carried_window = CohortQueue::new();
+        let mut windows = CohortBatch::new();
         let mut old_state_total = 0.0;
         for mut g in old_groups {
-            let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
-            let mut inputs = g.input.drain();
-            inputs.extend(g.redo.drain());
-            let mut windows = g.drain_windows(xray_on, now);
-            let mut pend = g.pending_out.drain();
+            windows.clear();
+            g.drain_windows(xray_on, now, &mut windows);
             if xray_on {
                 // Close every carried ledger out at `now` against
                 // the *old* group's pause counters, then zero the
                 // marks: the fresh groups restart their counters.
-                for c in inputs.iter_mut() {
-                    let comps = close_queue_interval(c, mc, fc, now, 0.0);
+                let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
+                let mut close_input = |count: f64, led: &mut DelayLedger| {
+                    let comps = close_queue_interval(led, mc, fc, now, 0.0);
                     for (a, v) in xray_acc.iter_mut().zip(comps) {
-                        *a += v * c.count;
+                        *a += v * count;
                     }
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
-                }
-                for c in windows.iter_mut() {
-                    // `drain_windows` already closed these at `now`.
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
-                }
-                for c in pend.iter_mut() {
-                    let comps = close_pending_interval(c, now, 0.0);
+                    clear_marks(led);
+                };
+                g.input.restamp(&mut close_input);
+                g.redo.restamp(&mut close_input);
+                // `drain_windows` already closed these at `now`.
+                windows.restamp(|_, led| clear_marks(led));
+                g.pending_out.restamp(|count, led| {
+                    let comps = close_pending_interval(led, now, 0.0);
                     for (a, v) in xray_acc.iter_mut().zip(comps) {
-                        *a += v * c.count;
+                        *a += v * count;
                     }
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
-                }
+                    clear_marks(led);
+                });
             }
-            carried_input.push_all(inputs);
-            carried_window.push_all(windows);
+            carried_input.push_queue(&g.input, None);
+            carried_input.push_queue(&g.redo, None);
+            carried_window.push_batch(&windows, None);
             old_state_total += g.state_mb;
             // Pending output stays at the site as an orphan edge
             // buffer source; move it into the outgoing edges now.
-            self.spill_pending(op, g.site, pend);
+            self.spill_pending(op, g.site, &g.pending_out);
         }
         if let Some(xs) = self.xray.as_mut() {
             xs.rec.charge_node(now, op.0, xray_acc);
@@ -2066,29 +2107,22 @@ impl Engine {
         if skip_state {
             self.lost_state_mb += old_state_total;
             // Abandoning state also abandons buffered window contents.
-            carried_window = CohortQueue::new();
+            carried_window.clear();
         }
 
         self.physical = candidate;
 
         // Create the new groups and share out carried data.
         let p = placement.parallelism().max(1);
-        let input_cohorts = carried_input.drain();
-        let window_cohorts = carried_window.drain();
         for (site, tasks) in placement.iter() {
             let share = tasks as f64 / p as f64;
             let mut g = Group::fresh(op, site, tasks);
-            g.input.push_all(scaled_iter(&input_cohorts, share));
-            // Buffered open-window contents are *state*: restore them
-            // directly into the window accumulator (re-processing them
-            // as input would double-charge the CPU).
+            g.input.push_queue(&carried_input, Some(share));
             if let Some(w) = self.plan.op(op).kind().window_s() {
                 let sigma = self.plan.op(op).selectivity();
-                for c in scaled_iter(&window_cohorts, share) {
-                    g.absorb_into_window(c, w, sigma, xray_on, now);
-                }
+                g.absorb_scaled(carried_window.iter(), share, w, sigma, xray_on, now);
             } else {
-                g.input.push_all(scaled_iter(&window_cohorts, share));
+                g.input.push_queue(&carried_window, Some(share));
             }
             self.init_state(op, &mut g);
             self.groups.push(g);
@@ -2229,15 +2263,14 @@ impl Engine {
 
     /// Moves a departed group's pending output into its outgoing edge
     /// buffers so remaining/new tasks relay it.
-    fn spill_pending(&mut self, op: OpId, site: SiteId, pending: Vec<Cohort>) {
-        if pending.is_empty() {
+    fn spill_pending(&mut self, op: OpId, site: SiteId, pending: &CohortQueue) {
+        if pending.len_cohorts() == 0 {
             return;
         }
         let outs: Vec<(EdgeKey, f64)> =
             outgoing_edges(&self.plan, &self.physical, op, site).collect();
         for (key, share) in outs {
-            self.edge_queue_mut(key)
-                .push_all(scaled_iter(&pending, share));
+            self.edge_queue_mut(key).push_queue(pending, Some(share));
         }
     }
 
@@ -2252,10 +2285,10 @@ impl Engine {
             gathered
                 .entry((e.key.from_op, e.key.from_site))
                 .or_default()
-                .push_all(e.queue.drain());
+                .push_queue(&e.queue, None);
+            e.queue.clear();
         }
-        for ((from_op, from_site), mut q) in gathered {
-            let cohorts = q.drain();
+        for ((from_op, from_site), q) in gathered {
             for (sd, _) in placement.iter() {
                 let share = placement.share(sd);
                 let key = EdgeKey {
@@ -2264,8 +2297,7 @@ impl Engine {
                     to_op: op,
                     to_site: sd,
                 };
-                self.edge_queue_mut(key)
-                    .push_all(scaled_iter(&cohorts, share));
+                self.edge_queue_mut(key).push_queue(&q, Some(share));
             }
         }
     }
@@ -2298,32 +2330,17 @@ impl Engine {
             .sum();
         let carry_map: BTreeMap<OpId, OpId> = sw.carry.iter().copied().collect();
 
-        // (new op, cohorts) input/window/pending data to install.
-        // Drained chunks are kept as drained, uncopied; the install
-        // loops below scale them straight into the new queues.
-        let mut carried_inputs: BTreeMap<OpId, Vec<Vec<Cohort>>> = BTreeMap::new();
-        let mut carried_windows: BTreeMap<OpId, Vec<Vec<Cohort>>> = BTreeMap::new();
-        let mut carried_pendings: BTreeMap<OpId, Vec<Vec<Cohort>>> = BTreeMap::new();
-        let mut replay: Vec<Cohort> = Vec::new();
-        let xray_on = self.xray.is_some();
+        // Input, window and pending data to install, per new op, in
+        // the order the old groups and edge buffers held it. Queues
+        // move over whole; the install loops push them, scaled, into
+        // the new groups' queues.
+        let mut carried_inputs: BTreeMap<OpId, Vec<CohortQueue>> = BTreeMap::new();
+        let mut carried_windows: BTreeMap<OpId, Vec<CohortBatch>> = BTreeMap::new();
+        let mut carried_pendings: BTreeMap<OpId, Vec<CohortQueue>> = BTreeMap::new();
+        let mut replay = CohortBatch::new();
+        let xray_now = self.xray.is_some().then_some(self.now);
+        let xray_on = xray_now.is_some();
         let now = self.now;
-        let mut add_replay = |cohorts: Vec<Cohort>, factor: f64| {
-            if factor > 1e-12 {
-                for mut c in cohorts {
-                    c.count /= factor;
-                    c.net_latency = 0.0;
-                    if xray_on {
-                        // The event's whole history is thrown away and
-                        // re-done because of the plan switch: rebase
-                        // the ledger and book the lost age as
-                        // migration cost.
-                        c.xray = DelayLedger::new(c.birth.secs());
-                        c.xray.advance(Component::Migration, now);
-                    }
-                    replay.push(c);
-                }
-            }
-        };
 
         let mut xray_node_acc: BTreeMap<u32, [f64; 6]> = BTreeMap::new();
         for mut g in std::mem::take(&mut self.groups) {
@@ -2338,50 +2355,56 @@ impl Engine {
             } else {
                 0.0
             };
-            let mut input = g.input.drain();
-            input.extend(g.redo.drain());
-            let mut window = g.drain_windows(xray_on, now);
-            let mut pending = g.pending_out.drain();
+            let mut window = CohortBatch::new();
+            g.drain_windows(xray_on, now, &mut window);
             if xray_on {
                 // Close every ledger out at `now` against the old
                 // group's pause counters; the rebuilt groups restart
                 // their counters from zero.
                 let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
                 let acc = xray_node_acc.entry(op.0).or_insert([0.0; 6]);
-                for c in input.iter_mut() {
-                    let comps = close_queue_interval(c, mc, fc, now, 0.0);
+                let mut close_input = |count: f64, led: &mut DelayLedger| {
+                    let comps = close_queue_interval(led, mc, fc, now, 0.0);
                     for (a, v) in acc.iter_mut().zip(comps) {
-                        *a += v * c.count;
+                        *a += v * count;
                     }
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
-                }
-                for c in window.iter_mut() {
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
-                }
-                for c in pending.iter_mut() {
-                    let comps = close_pending_interval(c, now, 0.0);
+                    clear_marks(led);
+                };
+                g.input.restamp(&mut close_input);
+                g.redo.restamp(&mut close_input);
+                window.restamp(|_, led| clear_marks(led));
+                g.pending_out.restamp(|count, led| {
+                    let comps = close_pending_interval(led, now, 0.0);
                     for (a, v) in acc.iter_mut().zip(comps) {
-                        *a += v * c.count;
+                        *a += v * count;
                     }
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
-                }
+                    clear_marks(led);
+                });
             }
             if let Some(&new_op) = carry_map.get(&op) {
-                carried_inputs.entry(new_op).or_default().push(input);
+                let inputs = carried_inputs.entry(new_op).or_default();
+                inputs.push(g.input);
+                inputs.push(g.redo);
                 carried_windows.entry(new_op).or_default().push(window);
                 // Pending output is post-σ and semantically identical
                 // under the carried operator: keep it as its output.
-                carried_pendings.entry(new_op).or_default().push(pending);
+                carried_pendings
+                    .entry(new_op)
+                    .or_default()
+                    .push(g.pending_out);
             } else {
                 if self.plan.op(op).is_stateful() {
                     self.lost_state_mb += g.state_mb;
                 }
-                add_replay(input, in_factor);
-                add_replay(window, out_factor.max(in_factor));
-                add_replay(pending, out_factor);
+                add_replay(&mut replay, g.input.iter(), in_factor, xray_now);
+                add_replay(&mut replay, g.redo.iter(), in_factor, xray_now);
+                add_replay(
+                    &mut replay,
+                    window.iter(),
+                    out_factor.max(in_factor),
+                    xray_now,
+                );
+                add_replay(&mut replay, g.pending_out.iter(), out_factor, xray_now);
             }
         }
         // Edge buffers hold post-σ output of from_op: carried
@@ -2391,20 +2414,18 @@ impl Engine {
         } in std::mem::take(&mut self.edges)
         {
             if let Some(&new_op) = carry_map.get(&key.from_op) {
-                let mut cohorts = q.drain();
                 if xray_on {
                     // In-flight edge waits close as transit against
                     // the old producer.
                     let acc = xray_node_acc.entry(key.from_op.0).or_insert([0.0; 6]);
-                    for c in cohorts.iter_mut() {
-                        let waited = (now - c.xray.attributed_until).max(0.0);
-                        c.xray.advance(Component::Transit, now);
-                        acc[Component::Transit as usize] += waited * c.count;
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
-                    }
+                    q.restamp(|count, led| {
+                        let waited = (now - led.attributed_until).max(0.0);
+                        led.advance(Component::Transit, now);
+                        acc[Component::Transit as usize] += waited * count;
+                        clear_marks(led);
+                    });
                 }
-                carried_pendings.entry(new_op).or_default().push(cohorts);
+                carried_pendings.entry(new_op).or_default().push(q);
                 continue;
             }
             let out_factor = if total_src > 0.0 {
@@ -2412,7 +2433,7 @@ impl Engine {
             } else {
                 0.0
             };
-            add_replay(q.drain(), out_factor);
+            add_replay(&mut replay, q.iter(), out_factor, xray_now);
         }
         if let Some(xs) = self.xray.as_mut() {
             for (op, acc) in xray_node_acc {
@@ -2434,17 +2455,18 @@ impl Engine {
         }
 
         // Install carried data into the new groups, split by share.
-        for (new_op, chunks) in carried_inputs {
+        for (new_op, queues) in carried_inputs {
             let placement = self.physical.placement(new_op).clone();
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.group_mut(new_op, site) {
-                    g.input
-                        .push_all(scaled_iter(chunks.iter().flatten(), share));
+                    for q in &queues {
+                        g.input.push_queue(q, Some(share));
+                    }
                 }
             }
         }
-        for (new_op, chunks) in carried_windows {
+        for (new_op, batches) in carried_windows {
             let placement = self.physical.placement(new_op).clone();
             let (window_s, sigma) = match self.plan.op(new_op).kind().window_s() {
                 Some(w) => (Some(w), self.plan.op(new_op).selectivity()),
@@ -2453,28 +2475,23 @@ impl Engine {
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.group_mut(new_op, site) {
-                    match window_s {
-                        // Window contents are state: restore them into
-                        // the accumulator without re-processing.
-                        Some(w) => {
-                            for c in scaled_iter(chunks.iter().flatten(), share) {
-                                g.absorb_into_window(c, w, sigma, xray_on, now);
-                            }
+                    for b in &batches {
+                        match window_s {
+                            Some(w) => g.absorb_scaled(b.iter(), share, w, sigma, xray_on, now),
+                            None => g.input.push_batch(b, Some(share)),
                         }
-                        None => g
-                            .input
-                            .push_all(scaled_iter(chunks.iter().flatten(), share)),
                     }
                 }
             }
         }
-        for (new_op, chunks) in carried_pendings {
+        for (new_op, queues) in carried_pendings {
             let placement = self.physical.placement(new_op).clone();
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.group_mut(new_op, site) {
-                    g.pending_out
-                        .push_all(scaled_iter(chunks.iter().flatten(), share));
+                    for q in &queues {
+                        g.pending_out.push_queue(q, Some(share));
+                    }
                 }
             }
         }
@@ -2489,7 +2506,7 @@ impl Engine {
                 let placement = self.physical.placement(src).clone();
                 for (site, _) in placement.iter() {
                     if let Some(g) = self.group_mut(src, site) {
-                        g.pending_out.push_all(scaled_iter(&replay, share));
+                        g.pending_out.push_batch(&replay, Some(share));
                     }
                 }
             }
@@ -2641,18 +2658,14 @@ impl Engine {
                 for g in &mut self.groups {
                     let (op, site) = (g.op, g.site);
                     if f.affects(site, SimTime(t0)) {
-                        let lost = g.since_ckpt.drain();
-                        match self.stores.get(&op) {
-                            Some(store) => {
-                                let frac = store.dirty_weight_fraction();
-                                g.redo.push_all(scaled_iter(&lost, frac));
-                                if store.compaction().is_enabled()
-                                    && !hit.iter().any(|&(o, _)| o == op)
-                                {
-                                    hit.push((op, site));
-                                }
-                            }
-                            None => g.redo.push_all(lost),
+                        let store = self.stores.get(&op);
+                        let frac = store.map(|s| s.dirty_weight_fraction());
+                        g.redo.push_queue(&g.since_ckpt, frac);
+                        g.since_ckpt.clear();
+                        if store.is_some_and(|s| s.compaction().is_enabled())
+                            && !hit.iter().any(|&(o, _)| o == op)
+                        {
+                            hit.push((op, site));
                         }
                     }
                 }
@@ -3040,11 +3053,8 @@ impl Engine {
                 // dirty partitions need replay.
                 let frac = self.stores.get(&op).map(|s| s.dirty_weight_fraction());
                 for g in &mut self.groups[self.op_groups[op.index()].clone()] {
-                    let lost = g.since_ckpt.drain();
-                    match frac {
-                        Some(f) => g.redo.push_all(scaled_iter(&lost, f)),
-                        None => g.redo.push_all(lost),
-                    }
+                    g.redo.push_queue(&g.since_ckpt, frac);
+                    g.since_ckpt.clear();
                 }
                 self.pending_events.push(FailureEvent::MigrationAborted {
                     op: Some(op),
@@ -3055,8 +3065,8 @@ impl Engine {
                 // Whole-query transition: every stage redoes its
                 // since-checkpoint window.
                 for g in &mut self.groups {
-                    let lost = g.since_ckpt.drain();
-                    g.redo.push_all(lost);
+                    g.redo.push_queue(&g.since_ckpt, None);
+                    g.since_ckpt.clear();
                 }
                 self.pending_events.push(FailureEvent::MigrationAborted {
                     op: None,
@@ -3292,12 +3302,14 @@ impl Engine {
             self.last_link_usage.clear();
             return;
         }
-        let rates = self.net.allocate(&sc.flows, SimTime(t0));
+        let rates = self
+            .net
+            .allocate_into(&sc.flows, SimTime(t0), &mut sc.alloc);
         // Link usage: each directed pair's rates summed in flow order.
         // While the set of busy pairs holds, the map is updated in
         // place.
         sc.link_usage.clear();
-        for (i, (f, r)) in sc.flows.iter().zip(&rates).enumerate() {
+        for (i, (f, r)) in sc.flows.iter().zip(rates).enumerate() {
             if f.from != f.to && r.0 > 0.0 {
                 sc.link_usage.push(((f.from, f.to), i, r.0));
             }
@@ -3343,28 +3355,27 @@ impl Engine {
                 continue;
             }
             let latency = self.net.latency(key.from_site, key.to_site).secs();
-            self.edges[slot].queue.take_into(events, &mut sc.cohorts);
+            let batch = &mut sc.batch;
+            self.edges[slot].queue.take_batch(events, batch);
             let dest = &mut self.groups[dest];
-            let (mig_cum, fail_cum) = (dest.pause_mig_cum, dest.pause_fail_cum);
-            for mut c in sc.cohorts.drain(..) {
-                if self.xray.is_some() {
-                    // Edge-buffer wait since emission plus the
-                    // link's propagation delay are both transit.
-                    let waited = (t0 - c.xray.attributed_until).max(0.0);
-                    c.xray.advance(Component::Transit, t0);
-                    c.xray.charge(Component::Transit, latency);
-                    c.xray.mark_pause = mig_cum;
-                    c.xray.mark_fail = fail_cum;
-                    if let Some(xs) = self.xray.as_mut() {
-                        let secs = (waited + latency) * c.count;
-                        xs.rec.charge_edge(t0, key.from_op.0, key.to_op.0, secs);
-                        xs.links.record(key.from_site, key.to_site, secs, c.count);
-                    }
-                }
-                c.net_latency += latency;
-                dest.arrived += c.count;
-                dest.input.push(c);
+            if let Some(xs) = self.xray.as_mut() {
+                // Edge-buffer wait since emission plus the link's
+                // propagation delay are both transit.
+                let (mig_cum, fail_cum) = (dest.pause_mig_cum, dest.pause_fail_cum);
+                batch.restamp(|count, led| {
+                    let waited = (t0 - led.attributed_until).max(0.0);
+                    led.advance(Component::Transit, t0);
+                    led.charge(Component::Transit, latency);
+                    led.mark_pause = mig_cum;
+                    led.mark_fail = fail_cum;
+                    let secs = (waited + latency) * count;
+                    xs.rec.charge_edge(t0, key.from_op.0, key.to_op.0, secs);
+                    xs.links.record(key.from_site, key.to_site, secs, count);
+                });
             }
+            batch.add_net_latency(latency);
+            dest.arrived = batch.iter().fold(dest.arrived, |sum, c| sum + c.count);
+            dest.input.push_batch(batch, None);
         }
         // Progress migration transfers.
         for &(mi, ti, fi) in &sc.mig_flows {
@@ -3584,8 +3595,7 @@ impl Engine {
             // emits nothing.
             let redo_n = g.redo.len_events().min(capacity);
             if redo_n > 0.0 {
-                g.redo.take_into(redo_n, &mut sc.cohorts);
-                sc.cohorts.clear();
+                g.redo.take_batch(redo_n, &mut sc.batch);
                 capacity -= redo_n;
             }
             // Output-buffer space limits processing (this is the
@@ -3615,29 +3625,29 @@ impl Engine {
                 backpressure = true;
             }
             if n > 0.0 {
-                g.input.take_into(n, &mut sc.cohorts);
+                let batch = &mut sc.batch;
+                g.input.take_batch(n, batch);
                 if xray {
-                    for c in &mut sc.cohorts {
-                        let comps =
-                            close_queue_interval(c, g.pause_mig_cum, g.pause_fail_cum, t1, dt);
+                    let (mig_cum, fail_cum) = (g.pause_mig_cum, g.pause_fail_cum);
+                    batch.restamp(|count, led| {
+                        let comps = close_queue_interval(led, mig_cum, fail_cum, t1, dt);
                         for (acc, v) in node_comps.iter_mut().zip(comps) {
-                            *acc += v * c.count;
+                            *acc += v * count;
                         }
-                        c.xray.mark_pause = g.pause_mig_cum;
-                        c.xray.mark_fail = g.pause_fail_cum;
-                    }
+                        led.mark_pause = mig_cum;
+                        led.mark_fail = fail_cum;
+                    });
                 }
                 g.processed += n;
                 processed = n;
-                g.since_ckpt.push_all(sc.cohorts.iter().copied());
+                g.since_ckpt.push_batch(batch, None);
                 if windowed {
                     let w = spec.kind().window_s().expect("windowed op");
-                    for c in sc.cohorts.drain(..) {
+                    for c in batch.iter() {
                         g.absorb_into_window(c, w, sigma, xray, t1);
                     }
                 } else {
-                    g.pending_out.push_all(scaled_iter(&sc.cohorts, sigma));
-                    sc.cohorts.clear();
+                    g.pending_out.push_batch(batch, Some(sigma));
                 }
             }
             // --- event-time window firing ---
@@ -3682,19 +3692,23 @@ impl Engine {
             }
             pending_len.min(limit)
         };
+        // The batch holds what this group emits this tick (nothing
+        // unless `emit_n > 0`).
+        let emitted = &mut sc.batch;
+        emitted.clear();
         if emit_n > 0.0 {
-            g.pending_out.take_into(emit_n, &mut sc.emitted);
+            g.pending_out.take_batch(emit_n, emitted);
             if xray {
                 // Sources charge their generation tick as service;
                 // everyone else waited here only because a downstream
                 // buffer was full.
                 let sdt = if is_source { dt } else { 0.0 };
-                for c in &mut sc.emitted {
-                    let comps = close_pending_interval(c, t1, sdt);
+                emitted.restamp(|count, led| {
+                    let comps = close_pending_interval(led, t1, sdt);
                     for (acc, v) in node_comps.iter_mut().zip(comps) {
-                        *acc += v * c.count;
+                        *acc += v * count;
                     }
-                }
+                });
             }
             g.emitted += emit_n;
             if emit_n < pending_len && !g.backpressured {
@@ -3721,7 +3735,7 @@ impl Engine {
             let em = self.em.as_ref();
             let sink_hist = em.and_then(|em| em.delivery[op.index()].as_ref());
             let comp_hists = em.and_then(|em| em.xray_comps[op.index()].as_ref());
-            for c in &sc.emitted {
+            for c in emitted.iter() {
                 let d = c.delay_at(SimTime(t1));
                 sums.delivered += c.count;
                 sums.delay_sum += d * c.count;
@@ -3753,12 +3767,9 @@ impl Engine {
             // Each edge receives the emitted cohorts scaled by its
             // share, in (downstream op, placement site) order.
             for &(e, share) in &self.out_edges[g.out.clone()] {
-                self.edges[e]
-                    .queue
-                    .push_all(scaled_iter(&sc.emitted, share));
+                self.edges[e].queue.push_batch(emitted, Some(share));
             }
         }
-        sc.emitted.clear();
     }
 
     /// Post-tick partitioned-state accounting: re-syncs each store's

@@ -289,7 +289,7 @@ mod cohort_queue_oracle {
     use proptest::prelude::*;
     use std::collections::VecDeque;
     use wasp_netsim::units::SimTime;
-    use wasp_streamsim::cohort::{Cohort, CohortQueue};
+    use wasp_streamsim::cohort::{Cohort, CohortBatch, CohortQueue};
     use wasp_xray::DelayLedger;
 
     /// The reference queue: every cohort stored in full, coalescing by
@@ -398,7 +398,24 @@ mod cohort_queue_oracle {
         }
     }
 
-    fn bits(c: &Cohort) -> [u64; 12] {
+    /// How two `f64`s compare: `f64::to_bits` (bit for bit) or
+    /// [`nan_blind`].
+    type Key = fn(f64) -> u64;
+
+    /// The bits of `v`, with every NaN mapped to one. Only for runs
+    /// that feed NaN counts in: the sign and payload of a NaN result
+    /// depend on which operand LLVM puts first, and the queue's NaN
+    /// bits differ from this reference's on such inputs (identically
+    /// so before the batch move path was added).
+    fn nan_blind(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    fn bits(c: &Cohort, key: Key) -> [u64; 12] {
         let l = &c.xray;
         [
             c.birth.secs(),
@@ -414,11 +431,15 @@ mod cohort_queue_oracle {
             l.mark_pause,
             l.mark_fail,
         ]
-        .map(f64::to_bits)
+        .map(key)
     }
 
     fn same(a: &[Cohort], b: &[Cohort]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+        same_by(a, b, f64::to_bits)
+    }
+
+    fn same_by(a: &[Cohort], b: &[Cohort], key: Key) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x, key) == bits(y, key))
     }
 
     /// SplitMix64 stream driving one random operation sequence.
@@ -478,11 +499,74 @@ mod cohort_queue_oracle {
         }
     }
 
+    /// `PROPTEST_CASES` override of `default` (the vendored proptest
+    /// only honours the in-config count, so the env var is resolved
+    /// here).
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    }
+
+    /// Checks that `q` and the reference `o` agree on every observable
+    /// bit (as `key` sees it), and that `q` holds no more than
+    /// [`MAX_COHORTS`] cohorts.
+    fn check(q: &CohortQueue, o: &OracleQueue, what: &str, key: Key) -> Result<(), String> {
+        let (events, want_events) = (q.len_events(), o.total);
+        prop_assert_eq!(
+            key(events),
+            key(want_events),
+            "{what}: {events} events, reference {want_events}"
+        );
+        let (n, want_n) = (q.len_cohorts(), o.cohorts.len());
+        prop_assert_eq!(n, want_n, "{what}: {n} cohorts, reference {want_n}");
+        prop_assert!(n <= MAX_COHORTS, "{what}: {n} cohorts");
+        let oldest = q.oldest_birth().map(|b| b.secs());
+        let want_oldest = o.cohorts.front().map(|c| c.birth.secs());
+        prop_assert_eq!(
+            oldest.map(key),
+            want_oldest.map(key),
+            "{what}: oldest birth {oldest:?}, reference {want_oldest:?}"
+        );
+        Ok(())
+    }
+
+    /// Pushes a burst of up to 3000 cohorts onto `q` and `o`: repeated
+    /// births merge into the tail, long bursts trigger coalescing.
+    /// With `huge_rate`, that share of counts is `f64::MAX`, so merges
+    /// overflow to infinite counts, and an eighth of it is NaN.
+    fn push_burst(
+        g: &mut Gen,
+        q: &mut CohortQueue,
+        o: &mut OracleQueue,
+        clock: &mut f64,
+        stamp_rate: f64,
+        huge_rate: f64,
+    ) -> Result<(), String> {
+        let n = (g.next() % 3000) as usize;
+        for _ in 0..n {
+            if g.unit() < 0.7 {
+                *clock += g.unit();
+            }
+            let mut c = cohort(g, *clock, stamp_rate);
+            let r = g.unit();
+            if r < huge_rate / 8.0 {
+                c.count = f64::NAN;
+            } else if r < huge_rate {
+                c.count = f64::MAX;
+            }
+            q.push(c);
+            o.push(c);
+            prop_assert!(q.len_cohorts() <= MAX_COHORTS);
+        }
+        Ok(())
+    }
+
     /// Runs `steps` random operations on `q` and the reference `o`:
-    /// push bursts that cross the coalescing threshold, takes, late
+    /// push bursts, takes (into a reused batch with `batch`), late
     /// drops and drains, checking after each that the two agree bit for
-    /// bit. With `take_into`, takes append onto a buffer still holding
-    /// the previous take's cohorts, which must stay in front unchanged.
+    /// bit.
     fn exercise(
         g: &mut Gen,
         q: &mut CohortQueue,
@@ -490,35 +574,21 @@ mod cohort_queue_oracle {
         clock: &mut f64,
         steps: usize,
         stamp_rate: f64,
-        take_into: bool,
+        batch: bool,
     ) -> Result<(), String> {
-        let mut buf: Vec<Cohort> = Vec::new();
+        let mut buf = CohortBatch::new();
         for step in 0..steps {
             let op = g.next() % 20;
             if op < 14 {
-                // A burst of pushes; repeated births merge into the
-                // tail, long bursts trigger coalescing.
-                let n = (g.next() % 3000) as usize;
-                for _ in 0..n {
-                    if g.unit() < 0.7 {
-                        *clock += g.unit();
-                    }
-                    let c = cohort(g, *clock, stamp_rate);
-                    q.push(c);
-                    o.push(c);
-                }
+                push_burst(g, q, o, clock, stamp_rate, 0.0)?;
             } else if op < 18 {
                 let n = o.total * g.unit() * 0.5;
                 let want = o.take(n);
-                if take_into {
-                    let kept = buf.len();
-                    let before = buf.clone();
-                    q.take_into(n, &mut buf);
-                    prop_assert!(
-                        same(&buf[..kept], &before) && same(&buf[kept..], &want),
-                        "take_into({n}) differs at step {step}"
-                    );
-                    buf.drain(..kept);
+                if batch {
+                    q.take_batch(n, &mut buf);
+                    prop_assert_eq!(buf.len(), want.len());
+                    let got: Vec<Cohort> = buf.iter().collect();
+                    prop_assert!(same(&got, &want), "take_batch({n}) differs at step {step}");
                 } else {
                     prop_assert!(same(&q.take(n), &want), "take({n}) differs at step {step}");
                 }
@@ -530,18 +600,115 @@ mod cohort_queue_oracle {
             } else {
                 prop_assert!(same(&q.drain(), &o.drain()), "drain differs at step {step}");
             }
-            prop_assert_eq!(q.len_events().to_bits(), o.total.to_bits());
-            prop_assert_eq!(q.len_cohorts(), o.cohorts.len());
-            prop_assert_eq!(
-                q.oldest_birth().map(|b| b.secs().to_bits()),
-                o.cohorts.front().map(|c| c.birth.secs().to_bits())
-            );
+            check(q, o, &format!("step {step}"), f64::to_bits)?;
         }
         Ok(())
     }
 
+    /// The reference of a move: `cohorts` pushed one by one, counts
+    /// multiplied by `factor` when given and then kept only if
+    /// positive.
+    fn oracle_push(o: &mut OracleQueue, cohorts: &[Cohort], factor: Option<f64>) {
+        for &c in cohorts {
+            match factor {
+                None => o.push(c),
+                Some(f) => {
+                    let count = c.count * f;
+                    if count > 0.0 {
+                        o.push(Cohort { count, ..c });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scale factors a move draws from: none, exact, zero, negative,
+    /// fractional, and large enough to overflow counts to infinity.
+    fn factor(g: &mut Gen) -> Option<f64> {
+        [
+            None,
+            Some(1.0),
+            Some(0.0),
+            Some(-0.5),
+            Some(0.37),
+            Some(0.5 + g.unit()),
+            Some(2.5),
+            Some(f64::MAX),
+        ][(g.next() % 8) as usize]
+    }
+
+    /// Moves cohorts from a source queue `a` into a destination `b`
+    /// through the batch and whole-queue pushes, against the reference
+    /// pair `oa`/`ob`, checking both pairs after every operation.
+    fn exercise_moves(
+        g: &mut Gen,
+        steps: usize,
+        stamp_rate: f64,
+        huge_rate: f64,
+    ) -> Result<(usize, usize), String> {
+        let (mut a, mut oa) = (CohortQueue::new(), OracleQueue::default());
+        let (mut b, mut ob) = (CohortQueue::new(), OracleQueue::default());
+        let mut batch = CohortBatch::new();
+        let mut clock = 0.0;
+        // NaN counts come in only with `huge_rate`; every other run is
+        // compared bit for bit.
+        let key: Key = if huge_rate > 0.0 {
+            nan_blind
+        } else {
+            f64::to_bits
+        };
+        for step in 0..steps {
+            let op = g.next() % 20;
+            if op < 9 {
+                push_burst(g, &mut a, &mut oa, &mut clock, stamp_rate, huge_rate)?;
+            } else if op < 15 {
+                // Batch take + push: the batch holds exactly what the
+                // reference take returns, and pushing it (scaled or
+                // not) matches pushing those cohorts one by one.
+                let n = oa.total * g.unit() * 0.7;
+                let want = oa.take(n);
+                a.take_batch(n, &mut batch);
+                let got: Vec<Cohort> = batch.iter().collect();
+                prop_assert!(
+                    same_by(&got, &want, key),
+                    "take_batch({n}) differs at step {step}"
+                );
+                let f = factor(g);
+                b.push_batch(&batch, f);
+                oracle_push(&mut ob, &want, f);
+            } else if op < 17 {
+                // A whole queue pushed, scaled or not; the source stays.
+                let f = factor(g);
+                b.push_queue(&a, f);
+                let all: Vec<Cohort> = oa.cohorts.iter().copied().collect();
+                oracle_push(&mut ob, &all, f);
+            } else if op < 18 {
+                let n = ob.total * g.unit();
+                prop_assert!(
+                    same_by(&b.take(n), &ob.take(n), key),
+                    "take({n}) differs at step {step}"
+                );
+            } else if op < 19 {
+                prop_assert!(
+                    same_by(&b.drain(), &ob.drain(), key),
+                    "drain of b differs at step {step}"
+                );
+            } else {
+                prop_assert!(
+                    same_by(&a.drain(), &oa.drain(), key),
+                    "drain of a differs at step {step}"
+                );
+            }
+            check(&a, &oa, &format!("source, step {step}"), key)?;
+            check(&b, &ob, &format!("destination, step {step}"), key)?;
+        }
+        prop_assert!(same_by(&a.drain(), &oa.drain(), key));
+        prop_assert!(same_by(&b.drain(), &ob.drain(), key));
+        Ok((oa.coalesces, ob.coalesces))
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
         /// Random push/take/drain/drop_late sequences that cross the
         /// coalescing threshold several times: every returned cohort,
@@ -563,10 +730,10 @@ mod cohort_queue_oracle {
             prop_assert!(same(&q.drain(), &o.drain()));
         }
 
-        /// `take_into` onto a non-empty buffer appends exactly the
-        /// cohorts `take` returns, leaving the buffer's contents alone.
+        /// `take_batch` into a reused batch holds exactly the cohorts
+        /// `take` returns, in either storage.
         #[test]
-        fn take_into_appends_what_take_returns(
+        fn take_batch_holds_what_take_returns(
             seed in 0u64..u64::MAX,
             stamp_rate in 0.0f64..0.002,
             stamped_run in proptest::bool::ANY,
@@ -578,6 +745,27 @@ mod cohort_queue_oracle {
             let mut clock = 0.0;
             exercise(&mut g, &mut q, &mut o, &mut clock, 60, stamp_rate, true)?;
             prop_assert!(same(&q.drain(), &o.drain()));
+        }
+
+        /// Batch take + push, and scaled or unscaled pushes of a batch
+        /// and of a whole queue, equal pushing the cohorts one by one
+        /// into the reference, bit for bit: lean, stamped and `-0.0`
+        /// ledgers, zero, negative and overflowing scale factors, and
+        /// infinite and NaN counts, across at least three coalesces.
+        /// Runs that feed NaN counts in compare NaNs by NaN-ness only
+        /// (see `nan_blind`).
+        #[test]
+        fn batch_and_queue_moves_match_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            stamp_rate in 0.0f64..0.002,
+            stamped_run in proptest::bool::ANY,
+            huge in proptest::bool::ANY,
+        ) {
+            let stamp_rate = if stamped_run { stamp_rate } else { 0.0 };
+            let huge_rate = if huge { 0.0005 } else { 0.0 };
+            let mut g = Gen(seed);
+            let (ca, cb) = exercise_moves(&mut g, 80, stamp_rate, huge_rate)?;
+            prop_assert!(ca + cb >= 3, "only {ca} + {cb} coalesces");
         }
 
         /// After `clear`, a queue in lean or full (stamped) storage

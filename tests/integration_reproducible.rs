@@ -115,14 +115,23 @@ fn wasp_report_run_reproduces_itself() {
 /// Runs `wasp-report` with `args`, killing it after `limit`; returns
 /// its exit code and stderr, or `None` when it ran past the limit.
 fn run_with_timeout(args: &[&str], limit: Duration) -> Option<(Option<i32>, String)> {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_wasp-report"))
+    run_bin_with_timeout(env!("CARGO_BIN_EXE_wasp-report"), args, limit)
+}
+
+/// [`run_with_timeout`] of the binary at `bin`.
+fn run_bin_with_timeout(
+    bin: &str,
+    args: &[&str],
+    limit: Duration,
+) -> Option<(Option<i32>, String)> {
+    let mut child = Command::new(bin)
         .args(args)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn wasp-report");
+        .expect("spawn the binary");
     let start = Instant::now();
-    while child.try_wait().expect("poll wasp-report").is_none() {
+    while child.try_wait().expect("poll the binary").is_none() {
         if start.elapsed() > limit {
             let _ = child.kill();
             let _ = child.wait();
@@ -130,9 +139,7 @@ fn run_with_timeout(args: &[&str], limit: Duration) -> Option<(Option<i32>, Stri
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    let out = child
-        .wait_with_output()
-        .expect("collect wasp-report output");
+    let out = child.wait_with_output().expect("collect the output");
     Some((
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -156,6 +163,26 @@ fn wasp_report_rejects_bad_flags_with_usage() {
         assert!(
             stderr.contains("usage: wasp-report"),
             "wasp-report {args:?} must print the usage text, got: {stderr}"
+        );
+    }
+}
+
+/// A regression gate that is NaN, infinite or negative exits 2 with
+/// the usage text instead of running a benchmark it could never fail.
+#[test]
+fn wasp_bench_rejects_a_bad_gate_with_usage() {
+    for gate in ["nan", "inf", "-5"] {
+        let args = ["--gate", gate];
+        let (code, stderr) = run_bin_with_timeout(
+            env!("CARGO_BIN_EXE_wasp-bench"),
+            &args,
+            Duration::from_secs(20),
+        )
+        .unwrap_or_else(|| panic!("wasp-bench {args:?} still running after 20 s"));
+        assert_eq!(code, Some(2), "wasp-bench {args:?} exit code");
+        assert!(
+            stderr.contains("usage: wasp-bench"),
+            "wasp-bench {args:?} must print the usage text, got: {stderr}"
         );
     }
 }
